@@ -17,7 +17,7 @@
 //	                         # (-shards n compares sharded stores)
 //	tpbench -netbench        # network serving-plane load generator:
 //	                         # closed-loop clients over loopback TCP and
-//	                         # the in-proc pipe vs the unbatched baseline
+//	                         # the in-proc pipe, both codecs
 //	                         # (-clients n -netops n -codec xml|binary,
 //	                         # -json for the BENCH_net.json records)
 //	tpbench -netbench -scaling
@@ -25,8 +25,8 @@
 //	                         # pipe/batched/binary closed loop under
 //	                         # GOMAXPROCS 1,2,4,8 (points above NumCPU
 //	                         # skipped; -json for BENCH_scaling.json)
-//	tpbench -leasebench      # lease-engine churn: timing-wheel batched
-//	                         # expiry vs the per-entry-timer baseline
+//	tpbench -leasebench      # lease-engine churn: renew storm over the
+//	                         # timing wheel, then a batched-expiry drain
 //	                         # (-leases n; -json for BENCH_lease.json)
 //	tpbench -notifybench     # durable notify sessions under write
 //	                         # fan-out with a mid-run reconnect
@@ -89,15 +89,15 @@ func main() {
 	chaos := flag.Bool("chaos", false, "replay the Table 4 scenario under injected faults and print the degradation table")
 	clusterFlag := flag.Bool("cluster", false, "run the replicated multi-node cluster under the chaos harness (fault-rate x cluster-size grid, forced primary crash; combine with -json for BENCH_cluster.json)")
 	spacebench := flag.Bool("spacebench", false, "drive the tuplespace serving plane through the mixed write/take/read/wake workload and print per-op latency")
-	netbench := flag.Bool("netbench", false, "drive the network serving plane with closed-loop clients over loopback TCP and the in-proc pipe, against the unbatched baseline")
+	netbench := flag.Bool("netbench", false, "drive the network serving plane with closed-loop clients over loopback TCP and the in-proc pipe")
 	scaling := flag.Bool("scaling", false, "with -netbench: sweep the pipe/batched/binary closed loop over GOMAXPROCS 1,2,4,8 (points above NumCPU are skipped; -json for BENCH_scaling.json)")
-	leasebench := flag.Bool("leasebench", false, "churn leases through the timing-wheel engine against the per-entry-timer baseline (-leases n, -json for BENCH_lease.json)")
+	leasebench := flag.Bool("leasebench", false, "churn lease renewals through the timing-wheel engine (-leases n, -json for BENCH_lease.json)")
 	notifybench := flag.Bool("notifybench", false, "drive durable notify sessions under write fan-out with a mid-run reconnect (-sessions n; -json folds into BENCH_lease.json)")
 	leases := flag.Int("leases", 0, "total leases churned by -leasebench (0 = default 10M)")
 	sessions := flag.Int("sessions", 0, "live sessions for -notifybench (0 = default 100k)")
 	clients := flag.Int("clients", 0, "closed-loop client goroutines for -netbench (0 = default 64)")
 	netops := flag.Int("netops", 0, "total requests per -netbench run (0 = default 20000)")
-	codec := flag.String("codec", "", "restrict -netbench batched rows to one codec: xml or binary (default both)")
+	codec := flag.String("codec", "", "restrict -netbench rows to one codec: xml or binary (default both)")
 	batchops := flag.Int("batchops", 0, "ops per multi-op batch frame for the -netbench coalescing rows (0 = default 8)")
 	workload := flag.String("workload", "", "run a classic serving workload: masterworker, pipeline, stream, farm, or all (sim row plus kind-routed vs all-shard baseline on -plane; -json for BENCH_workloads.json)")
 	plane := flag.String("plane", "", "serving plane for -workload: sim, local (direct space, default), pipe, or tcp")
@@ -106,13 +106,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit -netbench results as JSON records (BENCH_net.json schema)")
 	shards := flag.Int("shards", 0, "space shards for -spacebench (default 1) and -workload (default 8)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent simulations (0 = all CPUs, 1 = sequential)")
-	nofastpath := flag.Bool("nofastpath", false, "disable burst-mode idle-sweep coalescing (A/B escape hatch; output is byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file (hunting serving-plane lock contention)")
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile to this file (channel/park waits on the completion path)")
 	flag.Parse()
 	workers := *parallel
-	noFast := *nofastpath
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -259,7 +257,6 @@ func main() {
 		fmt.Print(core.RunPlan(core.PlanConfig{
 			Requirements: core.DefaultRequirements(),
 			Workers:      workers,
-			NoFastPath:   noFast,
 		}).Format())
 		return
 	}
@@ -285,7 +282,6 @@ func main() {
 	if *chaos {
 		cfg := core.DefaultChaosGridConfig()
 		cfg.Workers = workers
-		cfg.Base.Impact.NoFastPath = noFast
 		grid := core.RunChaosGrid(cfg)
 		fmt.Print(grid.Format())
 		if len(grid.Violations()) > 0 {
@@ -299,7 +295,7 @@ func main() {
 		return
 	}
 	if *sweep {
-		printSweep(workers, noFast)
+		printSweep(workers)
 		return
 	}
 	if *compare {
@@ -313,7 +309,7 @@ func main() {
 		fmt.Println()
 		printTable3(*realtime, *speedup, workers)
 		fmt.Println()
-		printTable4(workers, noFast)
+		printTable4(workers)
 		fmt.Println()
 		printCrossValidation()
 	case *table == "frames":
@@ -321,11 +317,11 @@ func main() {
 	case *table == "3":
 		printTable3(*realtime, *speedup, workers)
 	case *table == "4":
-		printTable4(workers, noFast)
+		printTable4(workers)
 	case *fig == 6:
 		printFig6()
 	case *fig == 7:
-		printFig7(noFast)
+		printFig7()
 	default:
 		fmt.Fprintf(os.Stderr, "tpbench: unknown selection (-table %q -fig %d)\n", *table, *fig)
 		os.Exit(2)
@@ -358,10 +354,9 @@ func printTable3(realtime bool, speedup float64, workers int) {
 	}
 }
 
-func printTable4(workers int, noFast bool) {
+func printTable4(workers int) {
 	cfg := core.DefaultTable4Config()
 	cfg.Workers = workers
-	cfg.Base.NoFastPath = noFast
 	t4 := core.RunTable4(cfg)
 	fmt.Print(t4.Format())
 }
@@ -379,10 +374,9 @@ func printFig6() {
 // printSweep extends Table 4 into a curve: exchange completion time
 // against background CBR load for both bus widths, CSV to stdout.
 // "Out of Time" cells print as empty values.
-func printSweep(workers int, noFast bool) {
+func printSweep(workers int) {
 	cfg := core.DefaultSweepConfig()
 	cfg.Workers = workers
-	cfg.Base.NoFastPath = noFast
 	fmt.Print(core.RunSweep(cfg).CSV())
 }
 
@@ -395,12 +389,11 @@ func printCrossValidation() {
 	}
 }
 
-func printFig7(noFast bool) {
+func printFig7() {
 	fmt.Println("Figure 7: TpWIRE case-study configuration")
 	fmt.Println("  Master -- Slave1 [C++ client] -- Slave2 [CBR] -- Slave3 [JavaSpace server] -- Slave4 [Receiver]")
 	cfg := core.DefaultImpactConfig()
 	cfg.CBRRate = 0.3
-	cfg.NoFastPath = noFast
 	res := core.RunImpact(cfg)
 	fmt.Printf("  CBR 0.3 B/s, 1-wire: write ack %.1fs, take issued %.1fs, completion %s\n",
 		res.WriteDone.Seconds(), res.TakeIssued.Seconds(), core.ImpactCell(res))

@@ -81,15 +81,16 @@ func TestClusterChaosDeterministic(t *testing.T) {
 }
 
 // TestSingleNodeOutputsUnchanged guards the pre-cluster serving
-// paths: the goldens under testdata were captured from tpbench before
-// the cluster plane existed, and compiling it in must not move a
-// byte of -table 4, -sweep, -fig 7, or -chaos output.
+// paths: the goldens under testdata/golden_cli (the files check.sh
+// diffs the CLI against) were captured from tpbench before the cluster
+// plane existed, and compiling it in must not move a byte of -table 4,
+// -sweep, -fig 7, or -chaos output.
 func TestSingleNodeOutputsUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full single-node regeneration in -short mode")
 	}
 	golden := func(name string) string {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
+		b, err := os.ReadFile(filepath.Join("testdata", "golden_cli", name))
 		if err != nil {
 			t.Fatalf("reading golden: %v", err)
 		}
@@ -102,9 +103,9 @@ func TestSingleNodeOutputsUnchanged(t *testing.T) {
 		}
 	}
 
-	check("golden_table4.txt", RunTable4(DefaultTable4Config()).Format())
-	check("golden_sweep.csv", RunSweep(DefaultSweepConfig()).CSV())
-	check("golden_chaos.txt", RunChaosGrid(DefaultChaosGridConfig()).Format())
+	check("table4.txt", RunTable4(DefaultTable4Config()).Format())
+	check("sweep.csv", RunSweep(DefaultSweepConfig()).CSV())
+	check("chaos.txt", RunChaosGrid(DefaultChaosGridConfig()).Format())
 
 	// Reproduce tpbench -fig 7's exact output.
 	cfg := DefaultImpactConfig()
@@ -117,5 +118,5 @@ func TestSingleNodeOutputsUnchanged(t *testing.T) {
 		res.WriteDone.Seconds(), res.TakeIssued.Seconds(), ImpactCell(res))
 	fmt.Fprintf(&b, "  bus: %d frames, busy %v; background packets delivered: %d\n",
 		res.BusFrames, sim.Duration(res.BusBusy), res.CBRDelivered)
-	check("golden_fig7.txt", b.String())
+	check("fig7.txt", b.String())
 }

@@ -2,8 +2,9 @@ package core
 
 import "testing"
 
-// TestImpactFastPathEquivalence is the runner-level A/B check behind
-// cmd/tpbench -nofastpath: the full Figure 7 co-simulation — client
+// TestImpactFastPathEquivalence is the runner-level A/B check of the
+// poller's burst mode against the per-event reference
+// (ImpactConfig.NoFastPath): the full Figure 7 co-simulation — client
 // write, background CBR, delayed take — must produce identical results
 // cell-for-cell whether the poller coalesces idle sweeps or not.
 func TestImpactFastPathEquivalence(t *testing.T) {
@@ -62,5 +63,26 @@ func TestPlanFastPathEquivalence(t *testing.T) {
 	}
 	if fast.Recommended == nil {
 		t.Fatal("no feasible point on the test grid")
+	}
+}
+
+// TestPaperOutputsFastPathEquivalence: the rendered Table 4 grid and
+// the CBR sweep CSV — what `tpbench -table 4` and `-sweep` print — must
+// be byte-identical on the per-event reference path.
+func TestPaperOutputsFastPathEquivalence(t *testing.T) {
+	table4 := func(noFast bool) string {
+		cfg := DefaultTable4Config()
+		cfg.Base.NoFastPath = noFast
+		return RunTable4(cfg).Format()
+	}
+	sweep := func(noFast bool) string {
+		cfg := DefaultSweepConfig()
+		cfg.Base.NoFastPath = noFast
+		return RunSweep(cfg).CSV()
+	}
+	for name, render := range map[string]func(bool) string{"table4": table4, "sweep": sweep} {
+		if slow, fast := render(true), render(false); slow != fast {
+			t.Errorf("%s: fast path output diverged:\nslow:\n%s\nfast:\n%s", name, slow, fast)
+		}
 	}
 }

@@ -51,8 +51,8 @@ type ImpactConfig struct {
 	Seed int64
 	// NoFastPath disables the poller's burst-mode coalescing of idle
 	// sweeps (tpwire fast path). The fast path is on by default and
-	// byte-identical to the per-event run; the escape hatch exists for
-	// A/B verification (cmd/tpbench -nofastpath).
+	// byte-identical to the per-event run, which tests keep as their
+	// reference (fastpath_test.go).
 	NoFastPath bool
 }
 

@@ -4,15 +4,10 @@
 // -leasebench churns lease renewals through a Space on the simulated
 // runtime holding a large live-lease population, and reports
 // wall-clock throughput and allocations per renewal for the
-// timing-wheel engine against the in-binary per-entry-timer baseline
-// (space.WithLegacyLeaseTimers). A renewal is the canonical churn op:
-// it exercises exactly the disarm+re-arm path every lease-bearing
-// write and take shares, with no store/index work diluting the
-// number. Under the wheel it is two O(1) intrusive list moves; under
-// per-entry timers it is a heap removal plus a heap push in a
-// calendar holding one pending event per live lease — at 10^7 live
-// leases every percolation step is a cache miss, which is the
-// degradation the wheel was built to remove. After the storm the
+// timing-wheel engine. A renewal is the canonical churn op: it
+// exercises exactly the disarm+re-arm path every lease-bearing write
+// and take shares — two O(1) intrusive list moves — with no
+// store/index work diluting the number. After the storm the
 // population is drained through both removal paths (early cancel and
 // batched sweep expiry) and the books are checked. The simulated
 // clock makes the run deterministic: time advances by RunUntil, not
@@ -44,12 +39,10 @@ import (
 
 // LeaseBenchConfig sizes one -leasebench run.
 type LeaseBenchConfig struct {
-	Leases         int  // live-lease population AND wheel renew-op count (default 10M)
-	BaselineLeases int  // renew ops for the per-timer baseline row (default Leases/20)
-	Live           int  // live leases held while churning; both engines hold the same population (default Leases, capped at 10M)
-	Shards         int  // space shards (default 4)
-	TakeEvery      int  // during the drain, every n-th entry is cancelled early instead of expiring (default 4)
-	SkipBaseline   bool // omit the legacy-timer row
+	Leases    int // live-lease population AND renew-op count (default 10M)
+	Live      int // live leases held while churning (default Leases, capped at 10M)
+	Shards    int // space shards (default 4)
+	TakeEvery int // during the drain, every n-th entry is cancelled early instead of expiring (default 4)
 }
 
 // DefaultLeaseBenchConfig is the acceptance-scenario shape: 10^7
@@ -75,19 +68,11 @@ func (c *LeaseBenchConfig) fill() {
 	if c.TakeEvery <= 0 {
 		c.TakeEvery = def.TakeEvery
 	}
-	if c.BaselineLeases <= 0 {
-		c.BaselineLeases = c.Leases / 20
-		if c.BaselineLeases < 1 {
-			c.BaselineLeases = 1
-		}
-	}
 }
 
-// LeaseBenchRow is one engine's measured churn.
-type LeaseBenchRow struct {
-	Engine       string // "wheel" or "per-timer"
-	Live         int    // live leases held during the storm
-	Renews       int    // renew ops measured
+// LeaseBenchResult is one measured -leasebench run.
+type LeaseBenchResult struct {
+	Config       LeaseBenchConfig
 	Elapsed      time.Duration
 	LeasesPerSec float64
 	AllocsPerOp  float64
@@ -95,25 +80,14 @@ type LeaseBenchRow struct {
 	Cancelled    uint64 // drain-phase early cancels (books check)
 }
 
-// LeaseBenchResult is a full -leasebench run: the wheel row and,
-// unless skipped, the per-timer baseline it replaced.
-type LeaseBenchResult struct {
-	Config  LeaseBenchConfig
-	Rows    []LeaseBenchRow
-	Speedup float64 // wheel leases/sec over per-timer baseline
-}
-
-// runLeaseChurn arms cfg.Live leases, storms renews renewals through
-// them (the measured phase), then drains the population through both
-// removal paths and checks the books. Entries spread over 1024
-// distinct tuple values so a sharded space exercises every shard.
-func runLeaseChurn(cfg LeaseBenchConfig, renews int, legacy bool) LeaseBenchRow {
+// RunLeaseBench arms cfg.Live leases, storms cfg.Leases renewals
+// through them (the measured phase), then drains the population
+// through both removal paths and checks the books. Entries spread over
+// 1024 distinct tuple values so a sharded space exercises every shard.
+func RunLeaseBench(cfg LeaseBenchConfig) LeaseBenchResult {
+	cfg.fill()
 	k := sim.NewKernel(1)
-	opts := []space.Option{space.WithShards(cfg.Shards)}
-	if legacy {
-		opts = append(opts, space.WithLegacyLeaseTimers())
-	}
-	sp := space.New(space.SimRuntime{K: k}, opts...)
+	sp := space.New(space.SimRuntime{K: k}, space.WithShards(cfg.Shards))
 
 	// A fixed palette of tuples keeps the workload's own allocations
 	// out of the per-renewal number: the churn measures the lease
@@ -127,8 +101,7 @@ func runLeaseChurn(cfg LeaseBenchConfig, renews int, legacy bool) LeaseBenchRow 
 	term := sim.Hour
 
 	// Arm the live population (not measured): after this loop the
-	// legacy engine's calendar holds one pending event per lease, the
-	// wheel one linked timer per lease.
+	// wheels hold one linked timer per lease.
 	leases := make([]*space.Lease, cfg.Live)
 	for i := range leases {
 		l, err := sp.Write(tups[i&1023], term)
@@ -142,7 +115,7 @@ func runLeaseChurn(cfg LeaseBenchConfig, renews int, legacy bool) LeaseBenchRow 
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < renews; i++ {
+	for i := 0; i < cfg.Leases; i++ {
 		if !leases[i%cfg.Live].Renew(term) {
 			panic("leasebench: renewed a dead lease")
 		}
@@ -151,8 +124,7 @@ func runLeaseChurn(cfg LeaseBenchConfig, renews int, legacy bool) LeaseBenchRow 
 	runtime.ReadMemStats(&after)
 
 	// Drain: every TakeEvery-th lease is cancelled early, the rest
-	// lapse together — under the wheel one batched sweep per shard
-	// unlinks them all.
+	// lapse together — one batched sweep per shard unlinks them all.
 	for i := 0; i < cfg.Live; i += cfg.TakeEvery {
 		if !leases[i].Cancel() {
 			panic("leasebench: cancel missed a live entry")
@@ -165,35 +137,15 @@ func runLeaseChurn(cfg LeaseBenchConfig, renews int, legacy bool) LeaseBenchRow 
 		panic(fmt.Sprintf("leasebench: books: expired %d + cancelled %d != live %d",
 			st.Expired, st.Cancelled, cfg.Live))
 	}
-	row := LeaseBenchRow{
-		Engine:    "wheel",
-		Live:      cfg.Live,
-		Renews:    renews,
-		Elapsed:   elapsed,
-		Expired:   st.Expired,
-		Cancelled: st.Cancelled,
-	}
-	if legacy {
-		row.Engine = "per-timer"
+	res := LeaseBenchResult{
+		Config:      cfg,
+		Elapsed:     elapsed,
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(cfg.Leases),
+		Expired:     st.Expired,
+		Cancelled:   st.Cancelled,
 	}
 	if elapsed > 0 {
-		row.LeasesPerSec = float64(renews) / elapsed.Seconds()
-	}
-	row.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(renews)
-	return row
-}
-
-// RunLeaseBench executes the churn for the wheel engine and the
-// per-timer baseline.
-func RunLeaseBench(cfg LeaseBenchConfig) LeaseBenchResult {
-	cfg.fill()
-	res := LeaseBenchResult{Config: cfg}
-	res.Rows = append(res.Rows, runLeaseChurn(cfg, cfg.Leases, false))
-	if !cfg.SkipBaseline {
-		res.Rows = append(res.Rows, runLeaseChurn(cfg, cfg.BaselineLeases, true))
-		if res.Rows[1].LeasesPerSec > 0 {
-			res.Speedup = res.Rows[0].LeasesPerSec / res.Rows[1].LeasesPerSec
-		}
+		res.LeasesPerSec = float64(cfg.Leases) / elapsed.Seconds()
 	}
 	return res
 }
@@ -205,13 +157,8 @@ func (r LeaseBenchResult) Format() string {
 		r.Config.Live, r.Config.Leases, r.Config.Shards, r.Config.TakeEvery)
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s %12s %12s %12s\n",
 		"engine", "live", "renews", "renews/sec", "allocs/op", "expired", "cancelled")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %12d %12d %12.0f %12.2f %12d %12d\n",
-			row.Engine, row.Live, row.Renews, row.LeasesPerSec, row.AllocsPerOp, row.Expired, row.Cancelled)
-	}
-	if r.Speedup > 0 {
-		fmt.Fprintf(&b, "wheel speedup over per-timer baseline: %.2fx\n", r.Speedup)
-	}
+	fmt.Fprintf(&b, "%-10s %12d %12d %12.0f %12.2f %12d %12d\n",
+		"wheel", r.Config.Live, r.Config.Leases, r.LeasesPerSec, r.AllocsPerOp, r.Expired, r.Cancelled)
 	return b.String()
 }
 
@@ -424,7 +371,6 @@ type leaseBenchRecord struct {
 	Leases       int     `json:"renews,omitempty"`
 	LeasesPerSec float64 `json:"leases_per_sec,omitempty"`
 	AllocsPerOp  float64 `json:"allocs_per_op,omitempty"`
-	Speedup      float64 `json:"speedup_vs_baseline,omitempty"`
 	Sessions     int     `json:"sessions,omitempty"`
 	Events       uint64  `json:"events,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
@@ -437,19 +383,13 @@ type leaseBenchRecord struct {
 func LeaseBenchJSON(lease *LeaseBenchResult, notify *NotifyBenchResult) (string, error) {
 	var recs []leaseBenchRecord
 	if lease != nil {
-		for _, row := range lease.Rows {
-			rec := leaseBenchRecord{
-				Name:         "leasebench/" + row.Engine,
-				Live:         row.Live,
-				Leases:       row.Renews,
-				LeasesPerSec: row.LeasesPerSec,
-				AllocsPerOp:  row.AllocsPerOp,
-			}
-			if row.Engine == "wheel" {
-				rec.Speedup = lease.Speedup
-			}
-			recs = append(recs, rec)
-		}
+		recs = append(recs, leaseBenchRecord{
+			Name:         "leasebench/wheel",
+			Live:         lease.Config.Live,
+			Leases:       lease.Config.Leases,
+			LeasesPerSec: lease.LeasesPerSec,
+			AllocsPerOp:  lease.AllocsPerOp,
+		})
 	}
 	if notify != nil {
 		recs = append(recs, leaseBenchRecord{

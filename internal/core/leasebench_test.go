@@ -6,30 +6,21 @@ import (
 )
 
 func TestLeaseBenchSmall(t *testing.T) {
-	// Tiny churn: exercises arm, renew (both engines), the drain's
-	// cancel+sweep paths and the books check (runLeaseChurn panics if
-	// expired+cancelled != live).
-	res := RunLeaseBench(LeaseBenchConfig{Leases: 3000, BaselineLeases: 500, Shards: 2})
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want wheel + per-timer", len(res.Rows))
+	// Tiny churn: exercises arm, renew, the drain's cancel+sweep paths
+	// and the books check (RunLeaseBench panics if expired+cancelled !=
+	// live).
+	res := RunLeaseBench(LeaseBenchConfig{Leases: 3000, Shards: 2})
+	if res.Config.Live != 3000 {
+		t.Fatalf("live = %d, want 3000", res.Config.Live)
 	}
-	for _, row := range res.Rows {
-		if row.Live != 3000 {
-			t.Fatalf("%s: live = %d, want 3000", row.Engine, row.Live)
-		}
-		if row.Expired+row.Cancelled != 3000 {
-			t.Fatalf("%s: books: expired %d + cancelled %d != 3000",
-				row.Engine, row.Expired, row.Cancelled)
-		}
-		if row.LeasesPerSec <= 0 {
-			t.Fatalf("%s: leases/sec = %v", row.Engine, row.LeasesPerSec)
-		}
+	if res.Expired+res.Cancelled != 3000 {
+		t.Fatalf("books: expired %d + cancelled %d != 3000", res.Expired, res.Cancelled)
 	}
-	if res.Rows[0].Engine != "wheel" || res.Rows[1].Engine != "per-timer" {
-		t.Fatalf("engines = %q, %q", res.Rows[0].Engine, res.Rows[1].Engine)
+	if res.Expired == 0 || res.Cancelled == 0 {
+		t.Fatalf("drain skipped a removal path: expired %d, cancelled %d", res.Expired, res.Cancelled)
 	}
-	if res.Speedup <= 0 {
-		t.Fatalf("speedup = %v", res.Speedup)
+	if res.LeasesPerSec <= 0 {
+		t.Fatalf("leases/sec = %v", res.LeasesPerSec)
 	}
 }
 
@@ -48,11 +39,8 @@ func TestNotifyBenchSmall(t *testing.T) {
 
 func TestLeaseBenchJSON(t *testing.T) {
 	lease := &LeaseBenchResult{
-		Rows: []LeaseBenchRow{
-			{Engine: "wheel", Live: 10, Renews: 10, LeasesPerSec: 100},
-			{Engine: "per-timer", Live: 10, Renews: 5, LeasesPerSec: 10},
-		},
-		Speedup: 10,
+		Config:       LeaseBenchConfig{Live: 10, Leases: 10},
+		LeasesPerSec: 100,
 	}
 	notify := &NotifyBenchResult{Delivered: 7, EventsPerSec: 3}
 	notify.Config.Sessions = 4
@@ -64,13 +52,13 @@ func TestLeaseBenchJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &recs); err != nil {
 		t.Fatalf("BENCH_lease.json is not valid JSON: %v", err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d, want 3", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	if recs[0]["name"] != "leasebench/wheel" || recs[0]["speedup_vs_baseline"] != 10.0 {
+	if recs[0]["name"] != "leasebench/wheel" || recs[0]["live_leases"] != 10.0 || recs[0]["leases_per_sec"] != 100.0 {
 		t.Fatalf("wheel record = %v", recs[0])
 	}
-	if recs[2]["name"] != "notifybench" || recs[2]["sessions"] != 4.0 {
-		t.Fatalf("notify record = %v", recs[2])
+	if recs[1]["name"] != "notifybench" || recs[1]["sessions"] != 4.0 {
+		t.Fatalf("notify record = %v", recs[1])
 	}
 }

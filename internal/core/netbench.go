@@ -3,11 +3,6 @@
 // wrapper.Client → framed transport → gateway → RMI → Space — over
 // real loopback TCP and over the in-process pipe, and report
 // throughput, latency percentiles, and allocations per operation.
-// The baseline row runs the in-binary replica of the pre-pipelining
-// TCPConn (two writes per message under the connection mutex, fresh
-// buffer per receive) with sequential gateway dispatch, so the
-// batched/pooled/concurrent serving plane is measured against the
-// exact code it replaced.
 
 package core
 
@@ -39,7 +34,6 @@ type NetBenchConfig struct {
 	Shards     int    // space shards (default 4)
 	BatchOps   int    // client-side multi-op coalescing, binary codec only (<=1 off)
 	NoAffinity bool   // shared dispatch queue instead of per-shard worker queues
-	Baseline   bool   // legacy unbatched TCP framing + sequential dispatch
 }
 
 // DefaultNetBenchConfig is the acceptance-scenario shape: 64 closed-loop
@@ -79,23 +73,13 @@ func (c *NetBenchConfig) fill() {
 	if c.Shards <= 0 {
 		c.Shards = def.Shards
 	}
-	if c.Baseline {
-		c.Workers = 1 // the pre-PR gateway dispatched inline
-		c.Codec = "xml"
-		c.BatchOps = 0
-		c.NoAffinity = false
-	}
 }
 
-// Name labels the run in reports: transport/plane/codec, with
-// suffixes for multi-op coalescing (/bK) and shared-queue dispatch
-// (/noaff).
+// Name labels the run in reports: transport/batched/codec (the middle
+// token is fixed; BENCH_net.json rows are keyed by it), with suffixes
+// for multi-op coalescing (/bK) and shared-queue dispatch (/noaff).
 func (c NetBenchConfig) Name() string {
-	plane := "batched"
-	if c.Baseline {
-		plane = "baseline"
-	}
-	name := c.Transport + "/" + plane + "/" + c.Codec
+	name := c.Transport + "/batched/" + c.Codec
 	if c.BatchOps > 1 {
 		name += fmt.Sprintf("/b%d", c.BatchOps)
 	}
@@ -163,13 +147,7 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 				if err != nil {
 					return
 				}
-				var sc transport.Conn
-				if cfg.Baseline {
-					sc = transport.NewUnbatchedTCPConn(nc)
-				} else {
-					sc = transport.NewTCPConn(nc)
-				}
-				accepted <- wrapper.NewServerStack(sc, sp, gwOpts...)
+				accepted <- wrapper.NewServerStack(transport.NewTCPConn(nc), sp, gwOpts...)
 			}
 		}()
 		for i := range clients {
@@ -177,13 +155,7 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 			if err != nil {
 				panic(fmt.Sprintf("netbench: dial: %v", err))
 			}
-			var cc transport.Conn
-			if cfg.Baseline {
-				cc = transport.NewUnbatchedTCPConn(nc)
-			} else {
-				cc = transport.NewTCPConn(nc)
-			}
-			clients[i] = wrapper.NewClient(cc, cliOpts...)
+			clients[i] = wrapper.NewClient(transport.NewTCPConn(nc), cliOpts...)
 			stacks = append(stacks, <-accepted)
 		}
 	}
@@ -275,37 +247,32 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 	return res
 }
 
-// NetBenchSuite is the -netbench report: the baseline serving plane
-// and the pipelined one, across transports and codecs, on one
-// workload shape.
+// NetBenchSuite is the -netbench report: the serving plane across
+// transports and codecs, on one workload shape.
 type NetBenchSuite struct {
 	Results []NetBenchResult
 }
 
-// RunNetBenchSuite measures the serving-plane before/after matrix.
-// codec restricts the batched rows to one codec ("" = both); the
-// baseline row is always legacy XML — that is the plane being
-// replaced.
+// RunNetBenchSuite measures the serving-plane matrix. codec restricts
+// the rows to one codec ("" = both).
 func RunNetBenchSuite(cfg NetBenchConfig, codec string) NetBenchSuite {
 	cfg.fill()
 	var runs []NetBenchConfig
-	add := func(transportName string, baseline bool, c string, batchOps int, noAffinity bool) {
+	add := func(transportName string, c string, batchOps int, noAffinity bool) {
 		r := cfg
 		r.Transport = transportName
-		r.Baseline = baseline
 		r.Codec = c
 		r.BatchOps = batchOps
 		r.NoAffinity = noAffinity
 		runs = append(runs, r)
 	}
-	add("tcp", true, "xml", 0, false)
 	if codec == "" || codec == "xml" {
-		add("tcp", false, "xml", 0, false)
-		add("pipe", false, "xml", 0, false)
+		add("tcp", "xml", 0, false)
+		add("pipe", "xml", 0, false)
 	}
 	if codec == "" || codec == "binary" {
-		add("tcp", false, "binary", 0, false)
-		add("pipe", false, "binary", 0, false)
+		add("tcp", "binary", 0, false)
+		add("pipe", "binary", 0, false)
 		// The tentpole A/B rows: multi-op coalescing (cfg.BatchOps, or 8
 		// by default), and shared-queue dispatch with affinity routing
 		// disabled.
@@ -313,25 +280,15 @@ func RunNetBenchSuite(cfg NetBenchConfig, codec string) NetBenchSuite {
 		if cfg.BatchOps > 1 {
 			bk = cfg.BatchOps
 		}
-		add("tcp", false, "binary", bk, false)
-		add("pipe", false, "binary", bk, false)
-		add("pipe", false, "binary", 0, true)
+		add("tcp", "binary", bk, false)
+		add("pipe", "binary", bk, false)
+		add("pipe", "binary", 0, true)
 	}
 	var s NetBenchSuite
 	for _, r := range runs {
 		s.Results = append(s.Results, RunNetBench(r))
 	}
 	return s
-}
-
-// baselineOps returns the baseline row's throughput (0 if absent).
-func (s NetBenchSuite) baselineOps() float64 {
-	for _, r := range s.Results {
-		if r.Config.Baseline && r.Config.Transport == "tcp" {
-			return r.OpsPerSec
-		}
-	}
-	return 0
 }
 
 // Format renders the suite as the -netbench report.
@@ -341,50 +298,37 @@ func (s NetBenchSuite) Format() string {
 		return "netbench: no results\n"
 	}
 	c := s.Results[0].Config
-	for _, r := range s.Results { // the baseline row pins Workers=1
-		if !r.Config.Baseline {
-			c = r.Config
-			break
-		}
-	}
 	fmt.Fprintf(&b, "Network serving-plane workload: %d clients over %d conns, %d ops/run, %d gateway workers, %d shard(s)\n",
 		c.Clients, c.Conns, s.Results[0].Ops, c.Workers, c.Shards)
-	fmt.Fprintf(&b, "%-22s %12s %10s %10s %12s %9s\n",
-		"plane", "ops/sec", "p50", "p99", "allocs/op", "speedup")
-	base := s.baselineOps()
+	fmt.Fprintf(&b, "%-22s %12s %10s %10s %12s\n",
+		"plane", "ops/sec", "p50", "p99", "allocs/op")
 	for _, r := range s.Results {
-		speedup := "-"
-		if base > 0 && !r.Config.Baseline && r.Config.Transport == "tcp" {
-			speedup = fmt.Sprintf("%.2fx", r.OpsPerSec/base)
-		}
-		fmt.Fprintf(&b, "%-22s %12.0f %10s %10s %12.1f %9s\n",
+		fmt.Fprintf(&b, "%-22s %12.0f %10s %10s %12.1f\n",
 			r.Config.Name(), r.OpsPerSec,
 			r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-			r.AllocsPerOp, speedup)
+			r.AllocsPerOp)
 	}
 	return b.String()
 }
 
 // netBenchRecord is the BENCH_net.json schema.
 type netBenchRecord struct {
-	Name              string  `json:"name"`
-	Clients           int     `json:"clients"`
-	Conns             int     `json:"conns"`
-	Ops               int     `json:"ops"`
-	GoMaxProcs        int     `json:"gomaxprocs"`
-	OpsPerSec         float64 `json:"ops_per_sec"`
-	P50Ns             int64   `json:"p50_ns"`
-	P99Ns             int64   `json:"p99_ns"`
-	AllocsPerOp       float64 `json:"allocs_per_op"`
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
+	Name        string  `json:"name"`
+	Clients     int     `json:"clients"`
+	Conns       int     `json:"conns"`
+	Ops         int     `json:"ops"`
+	GoMaxProcs  int     `json:"gomaxprocs"`
+	OpsPerSec   float64 `json:"ops_per_sec"`
+	P50Ns       int64   `json:"p50_ns"`
+	P99Ns       int64   `json:"p99_ns"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // JSON renders the suite as the BENCH_net.json records.
 func (s NetBenchSuite) JSON() (string, error) {
-	base := s.baselineOps()
 	recs := make([]netBenchRecord, 0, len(s.Results))
 	for _, r := range s.Results {
-		rec := netBenchRecord{
+		recs = append(recs, netBenchRecord{
 			Name:        "netbench/" + r.Config.Name(),
 			Clients:     r.Config.Clients,
 			Conns:       r.Config.Conns,
@@ -394,11 +338,7 @@ func (s NetBenchSuite) JSON() (string, error) {
 			P50Ns:       r.P50.Nanoseconds(),
 			P99Ns:       r.P99.Nanoseconds(),
 			AllocsPerOp: r.AllocsPerOp,
-		}
-		if base > 0 && !r.Config.Baseline && r.Config.Transport == "tcp" {
-			rec.SpeedupVsBaseline = r.OpsPerSec / base
-		}
-		recs = append(recs, rec)
+		})
 	}
 	out, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 func TestRunNetBenchSmoke(t *testing.T) {
 	cases := []NetBenchConfig{
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "tcp"},
-		{Clients: 4, Conns: 2, Ops: 40, Transport: "tcp", Baseline: true},
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "tcp", Codec: "binary"},
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "pipe"},
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "pipe", Codec: "binary"},
@@ -35,15 +34,15 @@ func TestRunNetBenchSmoke(t *testing.T) {
 
 func TestNetBenchSuiteReport(t *testing.T) {
 	s := RunNetBenchSuite(NetBenchConfig{Clients: 4, Conns: 2, Ops: 40}, "binary")
-	// baseline + tcp/binary + pipe/binary + tcp/b8 + pipe/b8 + pipe/noaff
-	if len(s.Results) != 6 {
+	// tcp/binary + pipe/binary + tcp/b8 + pipe/b8 + pipe/noaff
+	if len(s.Results) != 5 {
 		t.Fatalf("got %d results", len(s.Results))
 	}
 	text := s.Format()
 	for _, want := range []string{
-		"tcp/baseline/xml", "tcp/batched/binary", "pipe/batched/binary",
+		"tcp/batched/binary", "pipe/batched/binary",
 		"tcp/batched/binary/b8", "pipe/batched/binary/b8",
-		"pipe/batched/binary/noaff", "speedup",
+		"pipe/batched/binary/noaff", "allocs/op",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)
@@ -53,7 +52,7 @@ func TestNetBenchSuiteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"netbench/tcp/baseline/xml"`, `"ops_per_sec"`, `"speedup_vs_baseline"`} {
+	for _, want := range []string{`"netbench/tcp/batched/binary"`, `"ops_per_sec"`, `"allocs_per_op"`} {
 		if !strings.Contains(js, want) {
 			t.Fatalf("json missing %q:\n%s", want, js)
 		}

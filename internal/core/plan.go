@@ -106,8 +106,8 @@ type PlanConfig struct {
 	// Workers bounds the worker pool (0 = DefaultWorkers, 1 =
 	// sequential); the plan is identical at every count.
 	Workers int
-	// NoFastPath forces every grid point onto the per-event path
-	// (cmd/tpbench -nofastpath); the plan is byte-identical either way.
+	// NoFastPath forces every grid point onto the per-event reference
+	// path; the plan is byte-identical either way.
 	NoFastPath bool
 }
 

@@ -51,7 +51,6 @@ func (c *ScalingConfig) fill() {
 	c.Procs = kept
 	c.Base.Transport = "pipe"
 	c.Base.Codec = "binary"
-	c.Base.Baseline = false
 	c.Base.fill()
 }
 

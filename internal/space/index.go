@@ -38,10 +38,8 @@ type entry struct {
 	writtenAt sim.Time
 
 	// exp is the entry's lease deadline, embedded so arming and
-	// cancelling never allocate (wheel mode); cancelExp is the legacy
-	// per-entry runtime timer (WithLegacyLeaseTimers only).
-	exp       sim.WheelTimer
-	cancelExp func()
+	// cancelling never allocate.
+	exp sim.WheelTimer
 
 	vh, kk, sk uint64 // value / kind / shape signatures of t
 
@@ -181,11 +179,9 @@ func newShard(sp *Space) *shard {
 		subVal:   make(map[uint64]*subList),
 		subKind:  make(map[uint64]*subList),
 		subShape: make(map[uint64]*subList),
+		wheel:    sim.NewWheel(sp.rt.Now()),
 	}
-	if !sp.legacyTimers {
-		sh.wheel = sim.NewWheel(sp.rt.Now())
-		sh.sweep = sp.rt.AfterBulk(sh.runSweep)
-	}
+	sh.sweep = sp.rt.AfterBulk(sh.runSweep)
 	return sh
 }
 
@@ -222,7 +218,7 @@ func (sh *shard) getEntry() *entry {
 // (linked && id match) under this same shard lock, and ids are never
 // reused.
 func (sh *shard) freeEntry(e *entry) {
-	if e.linked || e.exp.Armed() || e.cancelExp != nil {
+	if e.linked || e.exp.Armed() {
 		return // defensive: never recycle an entry still indexed or timed
 	}
 	e.id = 0

@@ -3,53 +3,28 @@ package space
 import "tpspace/internal/sim"
 
 // lease.go is the lease engine: one hierarchical timing wheel and one
-// re-armable runtime timer per shard replace the historical
-// timer-per-entry scheme (one kernel event or time.AfterFunc per
-// leased entry, untenable at the 10^7 outstanding leases the ROADMAP
-// targets). Arming and cancelling a lease are intrusive wheel
-// operations on storage embedded in the entry — 0 allocations — and
-// expiry is a batched sweep: one shard lock acquisition unlinks every
-// entry that has lapsed and journals the removals in one pass.
+// re-armable runtime timer per shard (a runtime timer per leased entry
+// does not survive the 10^7 outstanding leases the ROADMAP targets).
+// Arming and cancelling a lease are intrusive wheel operations on
+// storage embedded in the entry — 0 allocations — and expiry is a
+// batched sweep: one shard lock acquisition unlinks every entry that
+// has lapsed and journals the removals in one pass.
 //
 // Determinism: the wheel never rounds a deadline (see sim.Wheel). The
 // sweep timer is always armed at or before the earliest armed
 // deadline, and each sweep expires exactly the entries with
 // expiry <= Now() before re-arming at the wheel's next wake. Under a
 // SimRuntime, sweeps are therefore kernel events that fire at exactly
-// the instants the per-entry timers used to fire, which keeps
-// simulation outputs (and the paper CLI) byte-identical to the legacy
-// scheme; spurious wakes (a cancelled earliest lease, a cascade
-// boundary) advance the wheel and re-arm without observable effect.
-//
-// The legacy scheme is retained behind WithLegacyLeaseTimers as the
-// in-binary baseline for `tpbench -leasebench` and as the oracle for
-// the lease property test.
-
-// WithLegacyLeaseTimers arms one runtime timer per leased entry (the
-// pre-wheel scheme) instead of the per-shard timing wheel. It exists
-// as the measured baseline and the test oracle; production callers
-// should never need it.
-func WithLegacyLeaseTimers() Option {
-	return func(c *config) { c.legacyTimers = true }
-}
+// the entries' deadlines — the instants the paper CLI's byte-identical
+// goldens were captured against; spurious wakes (a cancelled earliest
+// lease, a cascade boundary) advance the wheel and re-arm without
+// observable effect.
 
 // armLease schedules expiry of a linked entry at the given absolute
-// time; the caller holds the shard lock. In wheel mode this is an
-// O(1) intrusive insert plus, when the new deadline precedes the
-// scheduled sweep, one timer reset.
-func (sh *shard) armLease(e *entry, expiry sim.Time, d sim.Duration) {
-	s := sh.sp
-	if s.legacyTimers {
-		id := e.id
-		e.cancelExp = s.rt.After(d, func() {
-			sh.mu.Lock()
-			if sh.removeByID(id) != nil {
-				sh.stats.Expired++
-			}
-			sh.mu.Unlock()
-		})
-		return
-	}
+// time; the caller holds the shard lock. This is an O(1) intrusive
+// insert plus, when the new deadline precedes the scheduled sweep, one
+// timer reset.
+func (sh *shard) armLease(e *entry, expiry sim.Time) {
 	e.exp.Owner = e
 	sh.wheel.Add(&e.exp, expiry)
 	if sh.sweepAt == 0 || expiry < sh.sweepAt {
@@ -62,13 +37,6 @@ func (sh *shard) armLease(e *entry, expiry sim.Time, d sim.Duration) {
 // sweep firing with nothing due is harmless (it re-arms from the
 // wheel), but a timer armed under an empty wheel would tick forever.
 func (sh *shard) disarmLease(e *entry) {
-	if sh.sp.legacyTimers {
-		if e.cancelExp != nil {
-			e.cancelExp()
-			e.cancelExp = nil
-		}
-		return
-	}
 	if sh.wheel.Cancel(&e.exp) && sh.wheel.Len() == 0 && sh.sweepAt != 0 {
 		sh.sweep.Stop()
 		sh.sweepAt = 0
@@ -76,16 +44,10 @@ func (sh *shard) disarmLease(e *entry) {
 }
 
 // renewLease replaces a linked entry's pending expiry in place; the
-// caller holds the shard lock. In wheel mode this rides Wheel.Reset's
-// same-slot fast path — a renewal that stays within the timer's
-// current slot is one deadline store — instead of a full
-// disarm+re-arm round trip.
-func (sh *shard) renewLease(e *entry, expiry sim.Time, d sim.Duration) {
-	if sh.sp.legacyTimers {
-		sh.disarmLease(e)
-		sh.armLease(e, expiry, d)
-		return
-	}
+// caller holds the shard lock. It rides Wheel.Reset's same-slot fast
+// path — a renewal that stays within the timer's current slot is one
+// deadline store — instead of a full disarm+re-arm round trip.
+func (sh *shard) renewLease(e *entry, expiry sim.Time) {
 	e.exp.Owner = e
 	sh.wheel.Reset(&e.exp, expiry)
 	if sh.sweepAt == 0 || expiry < sh.sweepAt {
@@ -138,12 +100,8 @@ func (sh *shard) runSweep() {
 }
 
 // drainLeases discards every armed lease wholesale (the crash path);
-// the caller holds the shard lock. Legacy timers are cancelled by the
-// caller's entry walk.
+// the caller holds the shard lock.
 func (sh *shard) drainLeases() {
-	if sh.sp.legacyTimers {
-		return
-	}
 	sh.wheel.DrainAll()
 	if sh.sweepAt != 0 {
 		sh.sweep.Stop()

@@ -12,12 +12,12 @@ import (
 	"tpspace/internal/tuple"
 )
 
-// lease_test.go: the wheel lease engine against the per-timer oracle
-// (WithLegacyLeaseTimers — the exact pre-wheel scheme, kept in-binary)
-// and the crash/replay regression for wheel-armed leases.
+// lease_test.go: the wheel lease engine against the refSpace oracle
+// (model_test.go) and the crash/replay regression for wheel-armed
+// leases.
 
 // leaseScript is a quick-generated interleaving of lease-engine
-// operations; each byte drives one step of both spaces.
+// operations; each byte drives one step of the space and the oracle.
 type leaseScript struct {
 	ops  []byte
 	seed int64
@@ -34,65 +34,29 @@ func (leaseScriptValue) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(leaseScriptValue{leaseScript{ops: ops, seed: r.Int63()}})
 }
 
-// leaseWorld is one space under test plus its driving kernel.
-type leaseWorld struct {
-	k *sim.Kernel
-	s *Space
-}
-
-func newLeaseWorld(shards int, legacy bool) *leaseWorld {
-	k := sim.NewKernel(1)
-	opts := []Option{WithShards(shards)}
-	if legacy {
-		opts = append(opts, WithLegacyLeaseTimers())
-	}
-	return &leaseWorld{k: k, s: New(SimRuntime{K: k}, opts...)}
-}
-
-// snapshot is the observable state the two engines must agree on.
-type snapshot struct {
-	now      sim.Time
-	size     int
-	expired  uint64
-	canceled uint64
-	takes    uint64
-	tuples   []string
-}
-
-func (w *leaseWorld) snap() snapshot {
-	st := w.s.Stats()
-	var tuples []string
-	for _, t := range w.s.Scan(tuple.New("", tuple.AnyInt("x"), tuple.AnyString("s"))) {
-		tuples = append(tuples, t.String())
-	}
-	return snapshot{
-		now: w.k.Now(), size: w.s.Size(),
-		expired: st.Expired, canceled: st.Cancelled, takes: st.Takes,
-		tuples: tuples,
-	}
-}
-
-// TestLeasePropertyWheelVsOracle drives identical random interleavings
-// of write/take/cancel/renew/time-advance/crash+replay through a
-// wheel-engine space and a legacy per-timer space (the oracle), for
-// shard counts {1, 4}, and demands identical observable state after
-// every step: live size, exact store contents, and the expiry/cancel
-// counters. Run under -race by scripts/check.sh.
+// TestLeasePropertyWheelVsOracle drives random interleavings of
+// write/take/cancel/renew/time-advance/crash+replay through a
+// wheel-engine space and the refSpace oracle, for shard counts {1, 4},
+// and demands identical observable state after every step: live size,
+// exact store contents, and the expiry/cancel counters. Run under
+// -race by scripts/check.sh.
 func TestLeasePropertyWheelVsOracle(t *testing.T) {
+	everything := tuple.New("", tuple.AnyInt("x"), tuple.AnyString("s"))
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		check := func(v leaseScriptValue) bool {
 			script := v.s
 			rng := rand.New(rand.NewSource(script.seed))
-			wheel := newLeaseWorld(shards, false)
-			oracle := newLeaseWorld(shards, true)
-			worlds := []*leaseWorld{wheel, oracle}
+			k := sim.NewKernel(1)
+			s := New(SimRuntime{K: k}, WithShards(shards))
+			var journal writerBuffer
+			s.SetJournal(NewJournal(&journal))
+			ref := &refSpace{}
 
-			var wheelJournal, oracleJournal writerBuffer
-			wheel.s.SetJournal(NewJournal(&wheelJournal))
-			oracle.s.SetJournal(NewJournal(&oracleJournal))
-
-			type held struct{ leases [2]*Lease }
+			type held struct {
+				lease *Lease
+				id    uint64 // the oracle's handle
+			}
 			var live []held
 
 			for _, op := range script.ops {
@@ -112,21 +76,17 @@ func TestLeasePropertyWheelVsOracle(t *testing.T) {
 					case 4:
 						d = sim.Duration(1 + rng.Int63n(int64(50*sim.Millisecond)))
 					}
-					var h held
-					for i, w := range worlds {
-						l, err := w.s.Write(tp, d)
-						if err != nil {
-							t.Fatalf("write: %v", err)
-						}
-						h.leases[i] = l
+					l, err := s.Write(tp, d)
+					if err != nil {
+						t.Fatalf("write: %v", err)
 					}
-					live = append(live, h)
+					live = append(live, held{lease: l, id: ref.write(tp, d, k.Now())})
 				case op < 150: // take
 					tmpl := randomTemplate(rng)
-					r0, ok0 := wheel.s.TakeIfExists(tmpl)
-					r1, ok1 := oracle.s.TakeIfExists(tmpl)
-					if ok0 != ok1 || (ok0 && r0.String() != r1.String()) {
-						t.Errorf("shards=%d: take diverged: (%v,%v) vs (%v,%v)", shards, r0, ok0, r1, ok1)
+					got, ok := s.TakeIfExists(tmpl)
+					want, wok := ref.take(tmpl)
+					if ok != wok || (ok && !got.Equal(want)) {
+						t.Errorf("shards=%d: take diverged: (%v,%v) vs oracle (%v,%v)", shards, got, ok, want, wok)
 						return false
 					}
 				case op < 175: // cancel a random held lease
@@ -136,10 +96,8 @@ func TestLeasePropertyWheelVsOracle(t *testing.T) {
 					i := rng.Intn(len(live))
 					h := live[i]
 					live = append(live[:i], live[i+1:]...)
-					c0 := h.leases[0].Cancel()
-					c1 := h.leases[1].Cancel()
-					if c0 != c1 {
-						t.Errorf("shards=%d: cancel diverged: %v vs %v", shards, c0, c1)
+					if got, want := h.lease.Cancel(), ref.cancel(h.id); got != want {
+						t.Errorf("shards=%d: cancel diverged: %v vs oracle %v", shards, got, want)
 						return false
 					}
 				case op < 195: // renew a random held lease
@@ -151,56 +109,55 @@ func TestLeasePropertyWheelVsOracle(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						d = NoLease
 					}
-					r0 := h.leases[0].Renew(d)
-					r1 := h.leases[1].Renew(d)
-					if r0 != r1 {
-						t.Errorf("shards=%d: renew diverged: %v vs %v", shards, r0, r1)
+					if got, want := h.lease.Renew(d), ref.renew(h.id, d, k.Now()); got != want {
+						t.Errorf("shards=%d: renew diverged: %v vs oracle %v", shards, got, want)
 						return false
 					}
 				case op < 250: // advance time (the expiry trigger)
-					var d sim.Duration
-					switch rng.Intn(3) {
+					to := k.Now()
+					switch rng.Intn(4) {
 					case 0:
-						d = sim.Duration(rng.Int63n(int64(10 * sim.Millisecond)))
+						to = to.Add(sim.Duration(rng.Int63n(int64(10 * sim.Millisecond))))
 					case 1:
-						d = sim.Duration(rng.Int63n(int64(2 * sim.Second)))
-					default:
-						d = sim.Duration(rng.Int63n(int64(10 * sim.Minute)))
+						to = to.Add(sim.Duration(rng.Int63n(int64(2 * sim.Second))))
+					case 2:
+						to = to.Add(sim.Duration(rng.Int63n(int64(10 * sim.Minute))))
+					default: // land exactly on a deadline: expiry is at, not after, it
+						for _, e := range ref.entries {
+							if e.deadline != 0 {
+								to = e.deadline
+								break
+							}
+						}
 					}
-					for _, w := range worlds {
-						w.k.RunUntil(w.k.Now().Add(d))
-					}
+					k.RunUntil(to)
+					ref.advance(k.Now())
 				default: // crash, then replay the journal into the same space
-					wheel.s.Crash()
-					oracle.s.Crash()
+					s.Crash()
 					live = live[:0]
-					if err := wheel.s.journal.Flush(); err != nil {
+					if err := s.journal.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					if err := oracle.s.journal.Flush(); err != nil {
-						t.Fatal(err)
+					stream := journal
+					if _, err := s.Replay(&stream); err != nil {
+						t.Fatalf("replay: %v", err)
 					}
-					wj, oj := wheelJournal, oracleJournal
-					if _, err := wheel.s.Replay(&wj); err != nil {
-						t.Fatalf("wheel replay: %v", err)
-					}
-					if _, err := oracle.s.Replay(&oj); err != nil {
-						t.Fatalf("oracle replay: %v", err)
-					}
+					ref.replay(k.Now())
 				}
-				s0, s1 := wheel.snap(), oracle.snap()
-				if s0.now != s1.now || s0.size != s1.size || s0.expired != s1.expired ||
-					s0.canceled != s1.canceled {
-					t.Errorf("shards=%d: state diverged: wheel %+v vs oracle %+v", shards, s0, s1)
+				st := s.Stats()
+				if s.Size() != len(ref.entries) || st.Expired != ref.expired || st.Cancelled != ref.cancelled {
+					t.Errorf("shards=%d: state diverged at %v: size %d expired %d cancelled %d vs oracle %d/%d/%d",
+						shards, k.Now(), s.Size(), st.Expired, st.Cancelled, len(ref.entries), ref.expired, ref.cancelled)
 					return false
 				}
-				if len(s0.tuples) != len(s1.tuples) {
-					t.Errorf("shards=%d: contents diverged: %d vs %d tuples", shards, len(s0.tuples), len(s1.tuples))
+				stored := s.Scan(everything)
+				if len(stored) != len(ref.entries) {
+					t.Errorf("shards=%d: contents diverged: %d vs oracle %d tuples", shards, len(stored), len(ref.entries))
 					return false
 				}
-				for i := range s0.tuples {
-					if s0.tuples[i] != s1.tuples[i] {
-						t.Errorf("shards=%d: tuple %d diverged: %q vs %q", shards, i, s0.tuples[i], s1.tuples[i])
+				for i := range stored {
+					if !stored[i].Equal(ref.entries[i].t) {
+						t.Errorf("shards=%d: tuple %d diverged: %v vs oracle %v", shards, i, stored[i], ref.entries[i].t)
 						return false
 					}
 				}
@@ -400,9 +357,9 @@ func TestLeaseRenewThroughWheel(t *testing.T) {
 
 // benchLeaseChurn measures write-with-lease + cancel on the wall
 // clock — the per-op cost of lease arming/disarming on top of the
-// store itself. The legacy variant is the per-entry timer baseline.
-func benchLeaseChurn(b *testing.B, opts ...Option) {
-	s := New(NewRealRuntime(), opts...)
+// store itself.
+func BenchmarkSpaceLeaseChurn(b *testing.B) {
+	s := New(NewRealRuntime())
 	tp := job("lease", 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -414,6 +371,3 @@ func benchLeaseChurn(b *testing.B, opts ...Option) {
 		l.Cancel()
 	}
 }
-
-func BenchmarkSpaceLeaseChurn(b *testing.B)       { benchLeaseChurn(b) }
-func BenchmarkSpaceLeaseChurnLegacy(b *testing.B) { benchLeaseChurn(b, WithLegacyLeaseTimers()) }

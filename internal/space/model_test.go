@@ -5,39 +5,73 @@ import (
 	"math/rand"
 	"testing"
 
+	"tpspace/internal/sim"
 	"tpspace/internal/tuple"
 )
 
 // refSpace is a deliberately naive reference implementation of the
-// tuplespace store semantics (FIFO total order, oldest-match
-// take/read) used as the oracle for model-based testing.
+// tuplespace store and lease semantics — FIFO total order,
+// oldest-match take/read, per-entry deadlines, cancel, renew, expiry
+// on time advance, and crash+replay re-arming — used as the one oracle
+// for model-based testing. Time is whatever the caller passes as now.
 type refSpace struct {
-	entries []tuple.Tuple
+	entries            []refEntry
+	nextID             uint64
+	expired, cancelled uint64
 }
 
-func (r *refSpace) write(t tuple.Tuple) { r.entries = append(r.entries, t.Clone()) }
+type refEntry struct {
+	id       uint64
+	t        tuple.Tuple
+	lease    sim.Duration // as written: what a replay re-arms with
+	deadline sim.Time     // zero: permanent
+}
+
+// write appends an entry and returns its handle for cancel/renew.
+func (r *refSpace) write(t tuple.Tuple, lease sim.Duration, now sim.Time) uint64 {
+	r.nextID++
+	e := refEntry{id: r.nextID, t: t.Clone(), lease: lease}
+	if lease > 0 {
+		e.deadline = now.Add(lease)
+	}
+	r.entries = append(r.entries, e)
+	return r.nextID
+}
 
 func (r *refSpace) findOldest(tmpl tuple.Tuple) int {
 	for i, e := range r.entries {
-		if tmpl.Matches(e) {
+		if tmpl.Matches(e.t) {
 			return i
 		}
 	}
 	return -1
 }
 
+func (r *refSpace) byID(id uint64) int {
+	for i, e := range r.entries {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refSpace) removeAt(i int) tuple.Tuple {
+	t := r.entries[i].t
+	r.entries = append(r.entries[:i], r.entries[i+1:]...)
+	return t
+}
+
 func (r *refSpace) take(tmpl tuple.Tuple) (tuple.Tuple, bool) {
 	if i := r.findOldest(tmpl); i >= 0 {
-		e := r.entries[i]
-		r.entries = append(r.entries[:i], r.entries[i+1:]...)
-		return e, true
+		return r.removeAt(i), true
 	}
 	return tuple.Tuple{}, false
 }
 
 func (r *refSpace) read(tmpl tuple.Tuple) (tuple.Tuple, bool) {
 	if i := r.findOldest(tmpl); i >= 0 {
-		return r.entries[i], true
+		return r.entries[i].t, true
 	}
 	return tuple.Tuple{}, false
 }
@@ -45,11 +79,62 @@ func (r *refSpace) read(tmpl tuple.Tuple) (tuple.Tuple, bool) {
 func (r *refSpace) count(tmpl tuple.Tuple) int {
 	n := 0
 	for _, e := range r.entries {
-		if tmpl.Matches(e) {
+		if tmpl.Matches(e.t) {
 			n++
 		}
 	}
 	return n
+}
+
+// cancel is Lease.Cancel: remove the entry if it is still stored.
+func (r *refSpace) cancel(id uint64) bool {
+	i := r.byID(id)
+	if i < 0 {
+		return false
+	}
+	r.removeAt(i)
+	r.cancelled++
+	return true
+}
+
+// renew is Lease.Renew: a fresh lifetime of d from now (NoLease makes
+// the entry permanent). The journalled lease is not rewritten.
+func (r *refSpace) renew(id uint64, d sim.Duration, now sim.Time) bool {
+	i := r.byID(id)
+	if i < 0 {
+		return false
+	}
+	r.entries[i].deadline = 0
+	if d > 0 {
+		r.entries[i].deadline = now.Add(d)
+	}
+	return true
+}
+
+// advance expires every entry whose deadline has been reached.
+func (r *refSpace) advance(now sim.Time) {
+	kept := r.entries[:0]
+	for _, e := range r.entries {
+		if e.deadline != 0 && e.deadline <= now {
+			r.expired++
+			continue
+		}
+		kept = append(kept, e)
+	}
+	r.entries = kept
+}
+
+// replay is Crash followed by Replay of the full journal: every
+// surviving entry comes back in id order with its originally written
+// lease re-armed from now; renewals are forgotten.
+func (r *refSpace) replay(now sim.Time) {
+	for i := range r.entries {
+		e := &r.entries[i]
+		e.deadline = 0
+		if e.lease > 0 {
+			e.deadline = now.Add(e.lease)
+		}
+	}
 }
 
 // randomTuple draws from a small universe so matches are frequent.
@@ -88,7 +173,7 @@ func TestModelBasedAgainstReference(t *testing.T) {
 				if _, err := s.Write(tp, NoLease); err != nil {
 					t.Fatalf("seed %d step %d: write: %v", seed, step, err)
 				}
-				ref.write(tp)
+				ref.write(tp, NoLease, 0)
 			case 2: // takeIfExists
 				tmpl := randomTemplate(rng)
 				got, ok := s.TakeIfExists(tmpl)
@@ -132,7 +217,7 @@ func TestModelBasedWithJournalReplay(t *testing.T) {
 			if rng.Intn(3) != 0 {
 				tp := randomTuple(rng)
 				s.Write(tp, NoLease)
-				ref.write(tp)
+				ref.write(tp, NoLease, 0)
 			} else {
 				tmpl := randomTemplate(rng)
 				s.TakeIfExists(tmpl)
@@ -152,8 +237,8 @@ func TestModelBasedWithJournalReplay(t *testing.T) {
 		all := tuple.New("", tuple.AnyInt("x"), tuple.AnyString("s"))
 		for i := range ref.entries {
 			got, ok := s2.TakeIfExists(all)
-			if !ok || !got.Equal(ref.entries[i]) {
-				t.Fatalf("seed %d: drained %d: %v vs %v", seed, i, got, ref.entries[i])
+			if !ok || !got.Equal(ref.entries[i].t) {
+				t.Fatalf("seed %d: drained %d: %v vs %v", seed, i, got, ref.entries[i].t)
 			}
 		}
 	}

@@ -336,79 +336,6 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	}
 }
 
-// propRef is the naive linear oracle for the interleaving property
-// test: id-stamped entries with lease tracking, mirroring the space's
-// observable semantics including expiry, cancellation and
-// crash/replay.
-type propEntry struct {
-	id     uint64
-	t      tuple.Tuple
-	lease  sim.Duration
-	expiry sim.Time // zero: permanent
-}
-
-type propRef struct {
-	entries []propEntry
-	nextID  uint64
-}
-
-func (r *propRef) write(t tuple.Tuple, lease sim.Duration, now sim.Time) uint64 {
-	r.nextID++
-	e := propEntry{id: r.nextID, t: t.Clone(), lease: lease}
-	if lease > 0 {
-		e.expiry = now.Add(lease)
-	}
-	r.entries = append(r.entries, e)
-	return r.nextID
-}
-
-func (r *propRef) oldest(tmpl tuple.Tuple) int {
-	for i := range r.entries {
-		if tmpl.Matches(r.entries[i].t) {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *propRef) take(tmpl tuple.Tuple) (tuple.Tuple, bool) {
-	if i := r.oldest(tmpl); i >= 0 {
-		e := r.entries[i]
-		r.entries = append(r.entries[:i], r.entries[i+1:]...)
-		return e.t, true
-	}
-	return tuple.Tuple{}, false
-}
-
-func (r *propRef) expire(now sim.Time) {
-	kept := r.entries[:0]
-	for _, e := range r.entries {
-		if e.expiry == 0 || e.expiry > now {
-			kept = append(kept, e)
-		}
-	}
-	r.entries = kept
-}
-
-func (r *propRef) cancel(id uint64) bool {
-	for i := range r.entries {
-		if r.entries[i].id == id {
-			r.entries = append(r.entries[:i], r.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// rearm re-computes expiries as Replay does: original lease, from now.
-func (r *propRef) rearm(now sim.Time) {
-	for i := range r.entries {
-		if r.entries[i].lease > 0 {
-			r.entries[i].expiry = now.Add(r.entries[i].lease)
-		}
-	}
-}
-
 // TestShardedPropertyEquivalence is the observational-equivalence
 // property test: for random interleavings of write (leased and
 // permanent), take, read, count, lease cancel, time advance (expiry)
@@ -441,7 +368,7 @@ func TestShardedPropertyEquivalence(t *testing.T) {
 			s := New(SimRuntime{K: k}, append([]Option{WithShards(shards)}, combo.mode.opts...)...)
 			var jb writerBuffer
 			s.SetJournal(NewJournal(&jb))
-			ref := &propRef{}
+			ref := &refSpace{}
 			leases := map[uint64]*Lease{}
 
 			// Notify equivalence: events fire on write (not replay or
@@ -485,7 +412,7 @@ func TestShardedPropertyEquivalence(t *testing.T) {
 				case 6: // read
 					tmpl := randomTemplate(rng)
 					got, ok := s.ReadIfExists(tmpl)
-					wi := ref.oldest(tmpl)
+					wi := ref.findOldest(tmpl)
 					if ok != (wi >= 0) || (ok && !got.Equal(ref.entries[wi].t)) {
 						t.Errorf("seed %d step %d shards %d: read mismatch (%v)", seed, step, shards, tmpl)
 						return false
@@ -493,7 +420,7 @@ func TestShardedPropertyEquivalence(t *testing.T) {
 				case 7: // time advances; leases lapse
 					d := sim.Duration(1+rng.Intn(20)) * sim.Second
 					k.RunFor(d)
-					ref.expire(k.Now())
+					ref.advance(k.Now())
 				case 8: // cancel a random lease handle
 					if len(leases) == 0 {
 						continue
@@ -523,7 +450,7 @@ func TestShardedPropertyEquivalence(t *testing.T) {
 						t.Errorf("seed %d step %d shards %d: replay: %v", seed, step, shards, err)
 						return false
 					}
-					ref.rearm(k.Now())
+					ref.replay(k.Now())
 					// Crash drops notify registrations (and replay fires no
 					// events); re-register, as a restarted client would.
 					cancelTyped = s.Notify(typedTmpl, func(tuple.Tuple) { gotTyped++ })

@@ -127,7 +127,7 @@ func (l *Lease) Renew(d sim.Duration) bool {
 	l.Expiry = 0
 	if d > 0 {
 		l.Expiry = s.rt.Now().Add(d)
-		sh.renewLease(e, l.Expiry, d)
+		sh.renewLease(e, l.Expiry)
 	} else {
 		sh.disarmLease(e)
 	}
@@ -167,17 +167,12 @@ type Space struct {
 	// journal is attach-before-use (see SetJournal): logW/logR read it
 	// under a shard lock, SetJournal writes it under all of them.
 	journal *Journal
-
-	// legacyTimers selects the per-entry lease timer scheme instead of
-	// the per-shard timing wheel (see lease.go).
-	legacyTimers bool
 }
 
 // config collects New options.
 type config struct {
-	shards       int
-	routePrefix  int
-	legacyTimers bool
+	shards      int
+	routePrefix int
 }
 
 // Option configures a Space at construction.
@@ -230,8 +225,7 @@ func New(rt Runtime, opts ...Option) *Space {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Space{rt: rt, shards: make([]*shard, cfg.shards),
-		routePrefix: cfg.routePrefix, legacyTimers: cfg.legacyTimers}
+	s := &Space{rt: rt, shards: make([]*shard, cfg.shards), routePrefix: cfg.routePrefix}
 	for i := range s.shards {
 		s.shards[i] = newShard(s)
 	}
@@ -594,7 +588,7 @@ func (sh *shard) storeCore(e *entry, lease sim.Duration, journal bool) (consumed
 	}
 	if lease > 0 {
 		expiry = s.rt.Now().Add(lease)
-		sh.armLease(e, expiry, lease)
+		sh.armLease(e, expiry)
 	}
 	return false, expiry, fire
 }
@@ -634,10 +628,6 @@ func (s *Space) Crash() {
 		sh.drainLeases()
 		for e := sh.head; e != nil; {
 			next := e.next
-			if e.cancelExp != nil {
-				e.cancelExp()
-				e.cancelExp = nil
-			}
 			e.prev, e.next, e.kPrev, e.kNext, e.vPrev, e.vNext = nil, nil, nil, nil, nil, nil
 			e.linked = false
 			e = next

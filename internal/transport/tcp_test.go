@@ -382,46 +382,3 @@ func TestTCPConnSendTooLarge(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
-
-// TestUnbatchedTCPConnRoundTrip keeps the netbench baseline honest:
-// it must still speak the same wire protocol as the batched conn.
-func TestUnbatchedTCPConnRoundTrip(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		srv := NewTCPConn(nc) // batched side talks to unbatched side
-		srv.SetOnReceive(func(p []byte) { srv.Send(p) })
-	}()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewUnbatchedTCPConn(nc)
-	recv := make(chan []byte, 1)
-	cli.SetOnReceive(func(p []byte) { recv <- p })
-	if err := cli.Send([]byte("legacy framing")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-recv:
-		if string(got) != "legacy framing" {
-			t.Fatalf("got %q", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("echo timed out")
-	}
-	if st := cli.Stats(); st.MsgsSent != 1 || st.MsgsReceived != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	cli.Close()
-	if err := cli.Send([]byte("x")); err != ErrClosed {
-		t.Fatalf("send after close: %v", err)
-	}
-}

@@ -12,11 +12,11 @@ package wrapper
 // pending table owns the pendingReq (see pendingTable) — and that
 // path fills the cell's result fields and sends the single signal
 // token; local failures before registration fill and signal the cell
-// synchronously on the issuing goroutine instead. Either way the
-// waiter wakes exactly once, copies the results out, and returns the
-// cell to the pool. A cell is never shared between two in-flight
-// requests: the pool hand-off is the only transfer, and it happens
-// strictly after the signal has been consumed.
+// synchronously on the issuing goroutine instead (completion.fail).
+// Either way the waiter wakes exactly once, copies the results out, and
+// returns the cell to the pool. A cell is never shared between two
+// in-flight requests: the pool hand-off is the only transfer, and it
+// happens strictly after the signal has been consumed.
 
 import (
 	"sync"
@@ -76,20 +76,12 @@ func (cl *completionCell) wait() { <-cl.sig }
 // block.
 func (cl *completionCell) signal() { cl.sig <- struct{}{} }
 
-// fail completes the cell with a local failure. Match and count
-// results drop the message, mirroring their async callback forms.
-func (cl *completionCell) fail(msg string) {
-	cl.ok = false
-	if cl.kind == cellWrite {
-		cl.msg = msg
-	}
-	cl.signal()
-}
-
-// completeBin fills the cell from a decoded binary response and
-// signals the waiter. r's entry points into pooled decode scratch —
-// CloneInto copies it out before the scratch is recycled.
-func (cl *completionCell) completeBin(r *xmlcodec.BinResponse) {
+// complete fills the cell from a decoded response — or a local
+// failure record, whose message match and count results drop,
+// mirroring their async callback forms — and signals the waiter. r's
+// entry may point into pooled decode scratch; CloneInto copies it out
+// before the scratch is recycled.
+func (cl *completionCell) complete(r *xmlcodec.BinResponse) {
 	switch cl.kind {
 	case cellWrite:
 		cl.ok, cl.msg = r.OK, r.Err
@@ -97,28 +89,6 @@ func (cl *completionCell) completeBin(r *xmlcodec.BinResponse) {
 		cl.ok = r.OK
 		if r.OK && r.HasEntry && cl.into != nil {
 			tuple.CloneInto(cl.into, r.Entry)
-		}
-	case cellCount:
-		cl.ok, cl.n = r.OK, r.Count
-	}
-	cl.signal()
-}
-
-// completeXML is completeBin for the legacy XML decode path.
-func (cl *completionCell) completeXML(r *xmlcodec.Response) {
-	switch cl.kind {
-	case cellWrite:
-		cl.ok, cl.msg = r.OK, r.Err
-	case cellMatch:
-		// Mirror matchOp: a response that claims OK but carries an
-		// undecodable entry is a failure, not an empty success.
-		if r.OK {
-			if t, err := r.Tuple(); err == nil {
-				if cl.into != nil {
-					tuple.CloneInto(cl.into, t)
-				}
-				cl.ok = true
-			}
 		}
 	case cellCount:
 		cl.ok, cl.n = r.OK, r.Count

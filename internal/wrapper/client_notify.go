@@ -45,19 +45,19 @@ func (c *Client) NotifySession(tmpl tuple.Tuple, fn func(tuple.Tuple), cb func(s
 		cb(0, false)
 		return
 	}
-	c.issueBin(xmlcodec.OpNotifySession, 0, 0, &tmpl, 0, func(r binResult) {
-		if !r.ok {
+	c.issue(c.id(), xmlcodec.OpNotifySession, 0, 0, &tmpl, 0, completion{ccb: func(ok bool, n int64) {
+		if !ok {
 			cb(0, false)
 			return
 		}
-		sess := uint64(r.count)
+		sess := uint64(n)
 		early := c.registerSession(sess, fn, 0)
 		// Frames that raced the open reply apply now, in arrival order.
 		for _, b := range early {
 			c.onEventBatch(b)
 		}
 		cb(sess, true)
-	})
+	}})
 }
 
 // ResumeNotifySession re-attaches a session — typically on a new
@@ -74,12 +74,12 @@ func (c *Client) ResumeNotifySession(sess, lastSeq uint64, fn func(tuple.Tuple),
 	// Register before issuing: replayed frames may beat the resume
 	// reply back, and must find the session.
 	c.registerSession(sess, fn, lastSeq)
-	c.issueBin(xmlcodec.OpNotifyResume, int64(sess), int64(lastSeq), nil, 0, func(r binResult) {
-		if !r.ok {
+	c.issue(c.id(), xmlcodec.OpNotifyResume, int64(sess), int64(lastSeq), nil, 0, completion{ccb: func(ok bool, _ int64) {
+		if !ok {
 			c.dropSession(sess)
 		}
-		cb(r.ok)
-	})
+		cb(ok)
+	}})
 }
 
 // EndNotifySession tears a session down on both sides.
@@ -89,9 +89,8 @@ func (c *Client) EndNotifySession(sess uint64, cb func(ok bool)) {
 		return
 	}
 	c.dropSession(sess)
-	c.issueBin(xmlcodec.OpNotifyEnd, int64(sess), 0, nil, 0, func(r binResult) {
-		cb(r.ok)
-	})
+	c.issue(c.id(), xmlcodec.OpNotifyEnd, int64(sess), 0, nil, 0,
+		completion{ccb: func(ok bool, _ int64) { cb(ok) }})
 }
 
 // NotifyLastSeq reports the last event sequence applied for a session

@@ -109,25 +109,6 @@ func (t *pendingTable) take(id uint64) *pendingReq {
 	return pr
 }
 
-// takeUnlessLegacy is take for the binary response path: a pending
-// request carrying an XML-era cb must be left registered (the caller
-// reroutes the frame through the legacy decode). It returns the
-// request and whether it was a legacy one (left in place).
-func (t *pendingTable) takeUnlessLegacy(id uint64) (pr *pendingReq, legacy bool) {
-	s := t.stripe(id)
-	s.mu.Lock()
-	pr = s.m[id]
-	if pr != nil && pr.cb != nil {
-		s.mu.Unlock()
-		return pr, true
-	}
-	if pr != nil {
-		delete(s.m, id)
-	}
-	s.mu.Unlock()
-	return pr, false
-}
-
 // bumpAttempt increments pr's attempt counter iff id is still
 // registered as pr — the transmission paths' entry guard. Counting
 // under the stripe lock orders the write against a completion

@@ -64,7 +64,7 @@ func (c *Client) attempt(id uint64, pr *pendingReq) {
 		// Plain client: a synchronous send failure fails the call.
 		if err != nil && c.pend.removeIf(id, pr) {
 			pr.release()
-			pr.fail(id, err.Error())
+			pr.done.fail(err.Error())
 		}
 		return
 	}
@@ -108,7 +108,7 @@ func (c *Client) retry(id uint64, pr *pendingReq, cause string) {
 		delete(s.m, id)
 		s.mu.Unlock()
 		pr.release()
-		pr.fail(id, fmt.Sprintf("wrapper: %s after %d attempts", cause, pr.attempt))
+		pr.done.fail(fmt.Sprintf("wrapper: %s after %d attempts", cause, pr.attempt))
 		return
 	}
 	pr.cancel = res.Timer(res.Backoff.Delay(pr.attempt, res.Rand), func() {

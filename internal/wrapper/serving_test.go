@@ -95,50 +95,6 @@ func TestConcurrentDispatchDedup(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecRoundTrips drives every client operation through the
-// negotiated binary codec.
-func TestBinaryCodecRoundTrips(t *testing.T) {
-	cli, sp := realStack(t, nil, []ClientOption{WithBinaryCodec()})
-	timeout := sim.DurationOf(5 * time.Second)
-	entry := tuple.New("bin",
-		tuple.String("s", "payload"), tuple.Int("n", 42),
-		tuple.Float("f", 2.5), tuple.Bool("b", true),
-		tuple.Bytes("raw", []byte{0, 1, 2}))
-	if err := cli.WriteWait(entry, space.NoLease); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	tmpl := tuple.New("bin", tuple.AnyString("s"), tuple.AnyInt("n"),
-		tuple.AnyFloat("f"), tuple.AnyBool("b"), tuple.AnyBytes("raw"))
-	got, ok := cli.ReadWait(tmpl, timeout)
-	if !ok {
-		t.Fatal("read missed")
-	}
-	if got.Fields[0].Str != "payload" || got.Fields[1].Int != 42 ||
-		got.Fields[2].Float != 2.5 || !got.Fields[3].Bool ||
-		string(got.Fields[4].Bytes) != "\x00\x01\x02" {
-		t.Fatalf("read back %v", got)
-	}
-	if n, ok := cli.CountWait(tmpl); !ok || n != 1 {
-		t.Fatalf("count = %d, %v", n, ok)
-	}
-	pinged := make(chan bool, 1)
-	cli.Ping(func(ok bool) { pinged <- ok })
-	select {
-	case ok := <-pinged:
-		if !ok {
-			t.Fatal("ping failed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ping timed out")
-	}
-	if _, ok := cli.TakeWait(tmpl, timeout); !ok {
-		t.Fatal("take missed")
-	}
-	if sp.Size() != 0 {
-		t.Fatalf("space size = %d", sp.Size())
-	}
-}
-
 // TestBinaryCodecNotify checks the push path replies in the
 // subscription's codec.
 func TestBinaryCodecNotify(t *testing.T) {

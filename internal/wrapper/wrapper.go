@@ -407,23 +407,59 @@ func (g *Gateway) Close() error {
 // ErrClosed is returned by client operations after Close.
 var ErrClosed = errors.New("wrapper: client closed")
 
-// pendingReq is an in-flight request: its completion callback plus
+// completion is the form a request completes through. Exactly one
+// field is set: a completion cell (the blocking conveniences), or the
+// caller's callback — wcb (write/ack ops), qcb (match, status
+// dropped), mcb (match with status), ccb (ok + count, the cold ops).
+// The forms hold the caller's callback (or cell) directly so the hot
+// path allocates no adapter closure.
+type completion struct {
+	cell *completionCell
+	wcb  func(ok bool, errMsg string)
+	qcb  func(tuple.Tuple, bool)
+	mcb  func(tuple.Tuple, bool, string)
+	ccb  func(ok bool, n int64)
+}
+
+// deliver hands a decoded response to the caller. r.Entry may be
+// pooled decode scratch; the caller owns the copy it receives.
+func (d completion) deliver(r *xmlcodec.BinResponse) {
+	switch {
+	case d.cell != nil:
+		d.cell.complete(r)
+	case d.wcb != nil:
+		d.wcb(r.OK, r.Err)
+	case d.qcb != nil:
+		if r.OK && r.HasEntry {
+			d.qcb(r.Entry.Clone(), true)
+		} else {
+			d.qcb(tuple.Tuple{}, r.OK)
+		}
+	case d.mcb != nil:
+		switch {
+		case !r.OK:
+			d.mcb(tuple.Tuple{}, false, r.Err)
+		case r.HasEntry:
+			d.mcb(r.Entry.Clone(), true, "")
+		default:
+			d.mcb(tuple.Tuple{}, true, "")
+		}
+	case d.ccb != nil:
+		d.ccb(r.OK, r.Count)
+	}
+}
+
+// fail completes the request with a local error.
+func (d completion) fail(msg string) {
+	d.deliver(&xmlcodec.BinResponse{Err: msg})
+}
+
+// pendingReq is an in-flight request: its completion form plus
 // everything a resilient client needs to retransmit it verbatim.
-// Exactly one completion form is set: cb (XML-era path), a completion
-// cell (the blocking conveniences), or one of the binary fast-path
-// callbacks — wcb (write/ack ops), qcb (match, status dropped), mcb
-// (match with status), bcb (generic binResult, the cold ops). The
-// specialized forms hold the caller's callback (or cell) directly so
-// the hot path allocates no adapter closure; completed non-resilient
-// prs are recycled through the pending table's stripe freelists
-// (next).
+// Completed non-resilient prs are recycled through the pending table's
+// stripe freelists (next).
 type pendingReq struct {
-	cb      func(xmlcodec.Response)
-	cell    *completionCell
-	wcb     func(ok bool, errMsg string)
-	qcb     func(tuple.Tuple, bool)
-	mcb     func(tuple.Tuple, bool, string)
-	bcb     func(binResult)
+	done    completion
 	bytes   []byte       // marshalled request, resent unchanged (same id)
 	pooled  bool         // bytes is a transport pool buffer, released on completion
 	budget  sim.Duration // per-attempt response budget (0 = none)
@@ -443,28 +479,9 @@ func (pr *pendingReq) release() {
 	}
 }
 
-// fail completes the request with a local error through whichever
-// callback form it carries.
-func (pr *pendingReq) fail(id uint64, msg string) {
-	switch {
-	case pr.cell != nil:
-		pr.cell.fail(msg)
-	case pr.wcb != nil:
-		pr.wcb(false, msg)
-	case pr.qcb != nil:
-		pr.qcb(tuple.Tuple{}, false)
-	case pr.mcb != nil:
-		pr.mcb(tuple.Tuple{}, false, msg)
-	case pr.bcb != nil:
-		pr.bcb(binResult{err: msg})
-	default:
-		pr.cb(xmlcodec.NewResponse(id, false, nil, msg))
-	}
-}
-
 // Client is the application-side library (the paper's C++ client): it
-// issues tuplespace operations as XML messages over any transport and
-// correlates the responses.
+// issues tuplespace operations as XML (or, WithBinaryCodec, binary)
+// messages over any transport and correlates the responses.
 //
 // The per-op state is lock-free or striped: request ids come from an
 // atomic counter, in-flight requests live in the striped pending
@@ -549,75 +566,17 @@ func (c *Client) onMessage(b []byte) {
 		}
 		return
 	}
-	if xmlcodec.IsBinaryResponse(b) && c.onBinaryResponse(b) {
-		return
+	st := cliStatePool.Get().(*cliBinState)
+	var err error
+	if xmlcodec.IsBinaryResponse(b) {
+		err = xmlcodec.DecodeResponseBinaryInto(&st.resp, b, st.in)
+	} else {
+		err = decodeXMLResponse(&st.resp, b)
 	}
-	resp, err := xmlcodec.UnmarshalResponse(b)
-	if err != nil {
-		return
+	if err == nil { // malformed frames are dropped
+		c.complete(&st.resp)
 	}
-	if resp.Event {
-		c.mu.Lock()
-		fn := c.subs[resp.ID]
-		c.mu.Unlock()
-		if fn != nil {
-			if t, err := resp.Tuple(); err == nil {
-				fn(t)
-			}
-		}
-		return
-	}
-	pr := c.pend.take(resp.ID)
-	if pr != nil {
-		if pr.cancel != nil {
-			pr.cancel()
-		}
-		pr.release()
-		if pr.cell != nil {
-			pr.cell.completeXML(&resp)
-			return
-		}
-		pr.cb(resp)
-	}
-}
-
-// send issues a request and registers its completion callback. timeout
-// is the server-side blocking budget the request carries, granted on
-// top of the per-attempt deadline when resilience is enabled.
-func (c *Client) send(req xmlcodec.Request, timeout sim.Duration, cb func(xmlcodec.Response)) {
-	b, err := xmlcodec.MarshalRequestIn(c.binary, req)
-	if err != nil {
-		cb(xmlcodec.NewResponse(req.ID, false, nil, err.Error()))
-		return
-	}
-	pr := &pendingReq{cb: cb, bytes: b}
-	if res := c.res.Load(); res != nil && res.Deadline > 0 {
-		pr.budget = res.Deadline + timeout
-	}
-	if !c.pend.register(req.ID, pr) {
-		cb(xmlcodec.NewResponse(req.ID, false, nil, ErrClosed.Error()))
-		return
-	}
-	c.attempt(req.ID, pr)
-}
-
-// sendCell is send for the blocking conveniences: the request
-// completes into cell instead of a callback closure.
-func (c *Client) sendCell(req xmlcodec.Request, timeout sim.Duration, cell *completionCell) {
-	b, err := xmlcodec.MarshalRequestIn(c.binary, req)
-	if err != nil {
-		cell.fail(err.Error())
-		return
-	}
-	pr := &pendingReq{cell: cell, bytes: b}
-	if res := c.res.Load(); res != nil && res.Deadline > 0 {
-		pr.budget = res.Deadline + timeout
-	}
-	if !c.pend.register(req.ID, pr) {
-		cell.fail(ErrClosed.Error())
-		return
-	}
-	c.attempt(req.ID, pr)
+	cliStatePool.Put(st)
 }
 
 func (c *Client) id() uint64 { return c.nextID.Add(1) }
@@ -625,90 +584,45 @@ func (c *Client) id() uint64 { return c.nextID.Add(1) }
 // Write stores a tuple with the given lease; cb receives success and
 // an error message.
 func (c *Client) Write(t tuple.Tuple, lease sim.Duration, cb func(ok bool, errMsg string)) {
-	if c.binary {
-		c.issueBinOp(c.id(), xmlcodec.OpWrite, int64(lease/sim.Millisecond), 0, &t, 0,
-			cb, nil, nil, nil)
-		return
-	}
-	req := xmlcodec.NewRequest(c.id(), xmlcodec.OpWrite, &t)
-	req.LeaseMs = int64(lease / sim.Millisecond)
-	c.send(req, 0, func(r xmlcodec.Response) { cb(r.OK, r.Err) })
+	c.issue(c.id(), xmlcodec.OpWrite, int64(lease/sim.Millisecond), 0, &t, 0, completion{wcb: cb})
 }
 
 // Take removes a matching entry, blocking server-side up to timeout.
 func (c *Client) Take(tmpl tuple.Tuple, timeout sim.Duration, cb func(tuple.Tuple, bool)) {
-	if c.binary {
-		c.issueBinOp(c.id(), xmlcodec.OpTake, 0, xmlcodec.TimeoutMsOf(timeout), &tmpl, timeout,
-			nil, cb, nil, nil)
-		return
-	}
-	c.matchOp(xmlcodec.OpTake, tmpl, timeout, dropStatus(cb))
+	c.match(xmlcodec.OpTake, &tmpl, timeout, completion{qcb: cb})
 }
 
 // Read copies a matching entry, blocking server-side up to timeout.
 func (c *Client) Read(tmpl tuple.Tuple, timeout sim.Duration, cb func(tuple.Tuple, bool)) {
-	if c.binary {
-		c.issueBinOp(c.id(), xmlcodec.OpRead, 0, xmlcodec.TimeoutMsOf(timeout), &tmpl, timeout,
-			nil, cb, nil, nil)
-		return
-	}
-	c.matchOp(xmlcodec.OpRead, tmpl, timeout, dropStatus(cb))
+	c.match(xmlcodec.OpRead, &tmpl, timeout, completion{qcb: cb})
 }
 
 // TakeIfExists removes a matching entry without blocking.
 func (c *Client) TakeIfExists(tmpl tuple.Tuple, cb func(tuple.Tuple, bool)) {
-	if c.binary {
-		c.issueBinOp(c.id(), xmlcodec.OpTakeIfExists, 0, 0, &tmpl, 0, nil, cb, nil, nil)
-		return
-	}
-	c.matchOp(xmlcodec.OpTakeIfExists, tmpl, 0, dropStatus(cb))
+	c.match(xmlcodec.OpTakeIfExists, &tmpl, 0, completion{qcb: cb})
 }
 
 // ReadIfExists copies a matching entry without blocking.
 func (c *Client) ReadIfExists(tmpl tuple.Tuple, cb func(tuple.Tuple, bool)) {
-	if c.binary {
-		c.issueBinOp(c.id(), xmlcodec.OpReadIfExists, 0, 0, &tmpl, 0, nil, cb, nil, nil)
-		return
-	}
-	c.matchOp(xmlcodec.OpReadIfExists, tmpl, 0, dropStatus(cb))
+	c.match(xmlcodec.OpReadIfExists, &tmpl, 0, completion{qcb: cb})
 }
 
-func dropStatus(cb func(tuple.Tuple, bool)) func(tuple.Tuple, bool, string) {
-	return func(t tuple.Tuple, ok bool, _ string) { cb(t, ok) }
-}
-
-func (c *Client) matchOp(op string, tmpl tuple.Tuple, timeout sim.Duration, cb func(tuple.Tuple, bool, string)) {
-	if c.binary {
-		c.issueBinOp(c.id(), op, 0, xmlcodec.TimeoutMsOf(timeout), &tmpl, timeout,
-			nil, nil, cb, nil)
-		return
-	}
-	req := xmlcodec.NewRequest(c.id(), op, &tmpl)
-	req.TimeoutMs = xmlcodec.TimeoutMsOf(timeout)
-	c.send(req, timeout, func(r xmlcodec.Response) {
-		if !r.OK {
-			cb(tuple.Tuple{}, false, r.Err)
-			return
-		}
-		t, err := r.Tuple()
-		if err != nil {
-			cb(tuple.Tuple{}, false, err.Error())
-			return
-		}
-		cb(t, true, "")
-	})
+// match issues a take/read-family op: a template plus the server-side
+// blocking budget.
+func (c *Client) match(op string, tmpl *tuple.Tuple, timeout sim.Duration, done completion) {
+	c.issue(c.id(), op, 0, xmlcodec.TimeoutMsOf(timeout), tmpl, timeout, done)
 }
 
 // TakeStatus is Take, with the server's error message exposed: a miss
 // or timeout reports ok=false with an empty message, while a failure
 // (server crash, protocol error, exhausted retries) carries its cause.
 func (c *Client) TakeStatus(tmpl tuple.Tuple, timeout sim.Duration, cb func(tuple.Tuple, bool, string)) {
-	c.matchOp(xmlcodec.OpTake, tmpl, timeout, cb)
+	c.match(xmlcodec.OpTake, &tmpl, timeout, completion{mcb: cb})
 }
 
 // ReadStatus is Read with the server's error message exposed.
 func (c *Client) ReadStatus(tmpl tuple.Tuple, timeout sim.Duration, cb func(tuple.Tuple, bool, string)) {
-	c.matchOp(xmlcodec.OpRead, tmpl, timeout, cb)
+	c.match(xmlcodec.OpRead, &tmpl, timeout, completion{mcb: cb})
 }
 
 // Notify subscribes fn to every future write matching the template;
@@ -718,42 +632,26 @@ func (c *Client) Notify(tmpl tuple.Tuple, fn func(tuple.Tuple), cb func(ok bool)
 	c.mu.Lock()
 	c.subs[id] = fn
 	c.mu.Unlock()
-	drop := func(ok bool) {
+	c.issue(id, xmlcodec.OpNotify, 0, 0, &tmpl, 0, completion{ccb: func(ok bool, _ int64) {
 		if !ok {
 			c.mu.Lock()
 			delete(c.subs, id)
 			c.mu.Unlock()
 		}
 		cb(ok)
-	}
-	if c.binary {
-		c.issueBinID(id, xmlcodec.OpNotify, 0, 0, &tmpl, 0,
-			func(r binResult) { drop(r.ok) })
-		return
-	}
-	req := xmlcodec.NewRequest(id, xmlcodec.OpNotify, &tmpl)
-	c.send(req, 0, func(r xmlcodec.Response) { drop(r.OK) })
+	}})
 }
 
 // Count reports how many stored entries match the template.
 func (c *Client) Count(tmpl tuple.Tuple, cb func(n int64, ok bool)) {
-	if c.binary {
-		c.issueBin(xmlcodec.OpCount, 0, 0, &tmpl, 0,
-			func(r binResult) { cb(r.count, r.ok) })
-		return
-	}
-	req := xmlcodec.NewRequest(c.id(), xmlcodec.OpCount, &tmpl)
-	c.send(req, 0, func(r xmlcodec.Response) { cb(r.Count, r.OK) })
+	c.issue(c.id(), xmlcodec.OpCount, 0, 0, &tmpl, 0,
+		completion{ccb: func(ok bool, n int64) { cb(n, ok) }})
 }
 
 // CountWait blocks until the count completes.
 func (c *Client) CountWait(tmpl tuple.Tuple) (int64, bool) {
 	cl := getCell(cellCount, nil)
-	if c.binary {
-		c.issueBinCell(c.id(), xmlcodec.OpCount, 0, 0, &tmpl, 0, cl)
-	} else {
-		c.sendCell(xmlcodec.NewRequest(c.id(), xmlcodec.OpCount, &tmpl), 0, cl)
-	}
+	c.issue(c.id(), xmlcodec.OpCount, 0, 0, &tmpl, 0, completion{cell: cl})
 	cl.wait()
 	n, ok := cl.n, cl.ok
 	putCell(cl)
@@ -762,13 +660,8 @@ func (c *Client) CountWait(tmpl tuple.Tuple) (int64, bool) {
 
 // Ping measures a protocol round trip; cb reports success.
 func (c *Client) Ping(cb func(ok bool)) {
-	if c.binary {
-		c.issueBin(xmlcodec.OpPing, 0, 0, nil, 0,
-			func(r binResult) { cb(r.ok) })
-		return
-	}
-	req := xmlcodec.NewRequest(c.id(), xmlcodec.OpPing, nil)
-	c.send(req, 0, func(r xmlcodec.Response) { cb(r.OK) })
+	c.issue(c.id(), xmlcodec.OpPing, 0, 0, nil, 0,
+		completion{ccb: func(ok bool, _ int64) { cb(ok) }})
 }
 
 // Close tears the client down; in-flight callbacks fire with failure.
@@ -785,7 +678,7 @@ func (c *Client) Close() error {
 			r.pr.cancel()
 		}
 		r.pr.release()
-		r.pr.fail(r.id, ErrClosed.Error())
+		r.pr.done.fail(ErrClosed.Error())
 	}
 	return c.conn.Close()
 }
@@ -799,13 +692,7 @@ func (c *Client) Close() error {
 // WriteWait blocks until the write completes.
 func (c *Client) WriteWait(t tuple.Tuple, lease sim.Duration) error {
 	cl := getCell(cellWrite, nil)
-	if c.binary {
-		c.issueBinCell(c.id(), xmlcodec.OpWrite, int64(lease/sim.Millisecond), 0, &t, 0, cl)
-	} else {
-		req := xmlcodec.NewRequest(c.id(), xmlcodec.OpWrite, &t)
-		req.LeaseMs = int64(lease / sim.Millisecond)
-		c.sendCell(req, 0, cl)
-	}
+	c.issue(c.id(), xmlcodec.OpWrite, int64(lease/sim.Millisecond), 0, &t, 0, completion{cell: cl})
 	cl.wait()
 	var err error
 	if !cl.ok && cl.msg != "" {
@@ -819,13 +706,7 @@ func (c *Client) WriteWait(t tuple.Tuple, lease sim.Duration) error {
 // *into via the cell path.
 func (c *Client) matchWait(op string, into *tuple.Tuple, tmpl tuple.Tuple, timeout sim.Duration) bool {
 	cl := getCell(cellMatch, into)
-	if c.binary {
-		c.issueBinCell(c.id(), op, 0, xmlcodec.TimeoutMsOf(timeout), &tmpl, timeout, cl)
-	} else {
-		req := xmlcodec.NewRequest(c.id(), op, &tmpl)
-		req.TimeoutMs = xmlcodec.TimeoutMsOf(timeout)
-		c.sendCell(req, timeout, cl)
-	}
+	c.match(op, &tmpl, timeout, completion{cell: cl})
 	cl.wait()
 	ok := cl.ok
 	putCell(cl)

@@ -12,19 +12,17 @@
 #                      take-hit, take-miss, waiter-wake and waiter
 #                      cancellation at 10^5/10^6 entries and 10^4
 #                      parked waiters, incl. the in-binary linear
-#                      baselines, the lease-churn benches (wheel vs
-#                      legacy per-timer) and the lock-free
-#                      RealRuntime.Now reads vs the mutex baseline
+#                      baselines, the lease-churn bench and the
+#                      lock-free RealRuntime.Now reads vs the mutex
+#                      baseline
 #   BENCH_net.json     network serving-plane load generator: 64
 #                      closed-loop clients over loopback TCP and the
-#                      in-proc pipe, batched/pooled plane vs the
-#                      in-binary unbatched baseline, XML and binary
-#                      codecs, plus the binary variants — multi-op
-#                      coalescing (/b8, 8 ops per batch frame) and
-#                      shard-affinity dispatch disabled (/noaff);
-#                      records {name, clients, conns, ops,
-#                      ops_per_sec, p50_ns, p99_ns, allocs_per_op,
-#                      speedup_vs_baseline}
+#                      in-proc pipe, XML and binary codecs, plus the
+#                      binary variants — multi-op coalescing (/b8, 8
+#                      ops per batch frame) and shard-affinity
+#                      dispatch disabled (/noaff); records {name,
+#                      clients, conns, ops, ops_per_sec, p50_ns,
+#                      p99_ns, allocs_per_op}
 #   BENCH_scaling.json multi-core scaling sweep: the pipe/batched/
 #                      binary closed loop re-run under GOMAXPROCS 1,
 #                      2, 4, 8 (filtered to what the machine has; P=1
@@ -50,14 +48,13 @@
 #                      baseline, clients, tasks, shards, units,
 #                      elapsed_ns, units_per_sec, mean_latency_ns,
 #                      deliveries, speedup_vs_baseline}
-#   BENCH_lease.json   lease-engine churn at 10^7 live leases (wheel
-#                      vs the in-binary per-timer baseline, with
-#                      speedup_vs_baseline and allocs_per_op) plus the
+#   BENCH_lease.json   lease-engine churn at 10^7 live leases (renew
+#                      storm through the timing wheel) plus the
 #                      100k-session durable-notify run with a mid-run
 #                      reconnect; records {name, live_leases, renews,
-#                      leases_per_sec, allocs_per_op,
-#                      speedup_vs_baseline} and {name, sessions,
-#                      events, events_per_sec, lost_events, gaps}
+#                      leases_per_sec, allocs_per_op} and {name,
+#                      sessions, events, events_per_sec, lost_events,
+#                      gaps}
 #
 # Every record carries {name, ns_per_op, allocs_per_op,
 # simulated_seconds}; benches without a simulated-time dimension

@@ -1,18 +1,20 @@
 #!/bin/sh
 # check.sh — the repo's one-stop verification gate:
-#   gofmt gate, vet, build, full tests under the race detector (which
-#   also covers the parallel experiment runner's and chaos harness's
-#   guard tests), a fuzz smoke over every fuzz target, a fast-path
-#   equivalence smoke (tpbench output must be byte-identical with and
-#   without -nofastpath), kernel/space/transport/wrapper bench
+#   gofmt gate over the whole module, vet, build, full tests under the
+#   race detector (which also covers the parallel experiment runner's
+#   and chaos harness's guard tests, the fast-path equivalence of every
+#   paper output, the codec-parity table of the wrapper client and the
+#   lease property test against the refSpace oracle), a fuzz smoke over
+#   every fuzz target, kernel/space/transport/wrapper bench
 #   regression smokes that fail if the calendar's schedule/churn
 #   paths, the space's take hot paths, the steady-state TCP receive
 #   path, or the gateway's binary decode->space->respond path
 #   allocate, a sync-client-op alloc gate (the pooled completion-cell
 #   path must stay <=1 alloc/op end to end), a tiny -netbench run of
-#   the network serving plane including the multi-op batch rows
-#   (-batchops 8), a -scaling smoke (the GOMAXPROCS sweep must emit
-#   its P=1 reference row), a classic-workload smoke (every pattern of
+#   the network serving plane (both transports, both codecs) including
+#   the multi-op batch rows (-batchops 8), a -scaling smoke (the
+#   GOMAXPROCS sweep must emit its P=1 reference row), a
+#   classic-workload smoke (every pattern of
 #   tpbench -workload must emit its sim estimate pair and its
 #   kind-routed vs all-shard baseline pair over the pipe plane; the
 #   space gate above also pins the kind-routed wildcard take at 0
@@ -21,7 +23,8 @@
 #   -race plus a full tpbench -cluster -chaos grid asserting the
 #   invariants (no acked write lost, at-most-once take), a
 #   timing-wheel 0-alloc gate (insert/cancel/expire), a lease-churn
-#   smoke (-leasebench, wheel row must not allocate), a durable-notify
+#   smoke (-leasebench: the books must balance and the wheel row must
+#   report 0 allocs/op), a durable-notify
 #   resume smoke (-notifybench, exactly-once across a mid-run
 #   reconnect), and a byte-identity diff of every paper CLI output
 #   (-table 4, -sweep, -fig 7, -chaos, -plan) against the committed
@@ -33,7 +36,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> gofmt -l"
-unformatted=$(gofmt -l cmd internal bench_test.go)
+unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -59,21 +62,9 @@ go test -run '^$' -fuzz '^FuzzBatchFrame$' -fuzztime "$FUZZTIME" ./internal/xmlc
 go test -run '^$' -fuzz '^FuzzRSPDecode$' -fuzztime "$FUZZTIME" ./internal/cosim/
 go test -run '^$' -fuzz '^FuzzRSPStubHandle$' -fuzztime "$FUZZTIME" ./internal/cosim/
 
-echo "==> fast-path equivalence smoke (tpbench with vs without -nofastpath)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/tpbench" ./cmd/tpbench
-for mode in "-table 4" "-sweep" "-fig 7"; do
-    # shellcheck disable=SC2086
-    "$tmp/tpbench" $mode > "$tmp/fast.txt"
-    # shellcheck disable=SC2086
-    "$tmp/tpbench" $mode -nofastpath > "$tmp/slow.txt"
-    if ! cmp -s "$tmp/fast.txt" "$tmp/slow.txt"; then
-        echo "fast path output diverges for: tpbench $mode" >&2
-        diff "$tmp/slow.txt" "$tmp/fast.txt" >&2 || true
-        exit 1
-    fi
-done
 
 echo "==> kernel bench regression smoke (schedule/churn must not allocate)"
 go test -run '^$' -bench '^BenchmarkKernel(Schedule|Churn)$' -benchmem \
@@ -155,7 +146,8 @@ fi
 
 echo "==> network serving-plane smoke (tpbench -netbench, tiny run, batchops 8)"
 "$tmp/tpbench" -netbench -clients 4 -netops 80 -batchops 8 > "$tmp/netbench.txt"
-grep -q "tcp/baseline/xml" "$tmp/netbench.txt"
+grep -q "tcp/batched/xml" "$tmp/netbench.txt"
+grep -q "pipe/batched/xml" "$tmp/netbench.txt"
 grep -q "tcp/batched/binary" "$tmp/netbench.txt"
 grep -q "pipe/batched/binary/b8" "$tmp/netbench.txt"
 grep -q "pipe/batched/binary/noaff" "$tmp/netbench.txt"
@@ -189,11 +181,9 @@ fi
 
 echo "==> lease-engine churn smoke (tpbench -leasebench, tiny run, books must balance)"
 # The run panics if the expiry books don't balance; the wheel row must
-# stay allocation-free. The 10x speedup target is only meaningful at
-# the full 10^7 scale (scripts/bench.sh) — not asserted here.
+# be present and report 0 allocs/op.
 "$tmp/tpbench" -leasebench -leases 20000 > "$tmp/leasebench.txt"
-grep -q "wheel speedup over per-timer baseline" "$tmp/leasebench.txt"
-if awk '$1 == "wheel" && $5 + 0 > 0 { exit 1 }' "$tmp/leasebench.txt"; then
+if awk '$1 == "wheel" { found = 1; if ($5 + 0 > 0) bad = 1 } END { exit bad || !found }' "$tmp/leasebench.txt"; then
     :
 else
     echo "lease engine regression: wheel renew path allocates" >&2
