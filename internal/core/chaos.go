@@ -165,6 +165,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	ic := cfg.Impact
 
 	k := sim.NewKernel(ic.Seed)
+	defer k.Shutdown()
 	chain := tpwire.NewChain(k, ic.Bus)
 
 	// Figure 7 topology: client(1), CBR(2), server(3), receiver(4).

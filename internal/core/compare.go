@@ -102,6 +102,7 @@ func CompareSubstrates(cfg CompareConfig) []SubstrateResult {
 		cliConn := transport.NewNetsimConn(net, client, server)
 		srvConn := transport.NewNetsimConn(net, server, client)
 		t, ok := exchange(k, cliConn, srvConn, cfg.PayloadBytes, 10*sim.Second)
+		k.Shutdown()
 		name := "Ethernet/TCP 10 Mbit/s (switched)"
 		if !ok {
 			t = 0

@@ -131,6 +131,7 @@ func RunImpact(cfg ImpactConfig) ImpactResult {
 	}
 
 	k := sim.NewKernel(cfg.Seed)
+	defer k.Shutdown() // the poller process is still parked when the run ends
 	chain := tpwire.NewChain(k, cfg.Bus)
 
 	// Figure 7 topology: client(1), CBR(2), server(3), receiver(4).

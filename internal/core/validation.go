@@ -148,6 +148,7 @@ func runValidationOnce(cfg ValidationConfig, frames int) ValidationRow {
 // carried the requested number of frames.
 func runScenario(cfg ValidationConfig, frames int) (sim.Duration, *tpwire.Sink, sim.RealtimeStats) {
 	k := sim.NewKernel(cfg.Seed)
+	defer k.Shutdown()
 	chain := tpwire.NewChain(k, cfg.Bus)
 	src := tpwire.NewMailboxDevice(nil)
 	chain.AddSlave(1).SetDevice(src)

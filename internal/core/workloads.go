@@ -335,6 +335,7 @@ func (m *wlModel) op(t tuple.Tuple) sim.Duration {
 
 func runWorkloadSim(cfg WorkloadConfig) WorkloadResult {
 	k := sim.NewKernel(cfg.Seed)
+	defer k.Shutdown()
 	s := newWorkloadSpace(space.SimRuntime{K: k}, cfg)
 	res := WorkloadResult{Config: cfg}
 

@@ -32,6 +32,14 @@ type Engine struct {
 // poly (without the implicit leading term), starting from init value
 // init.
 func New(width uint, poly, init uint32) *Engine {
+	// Small enough to inline, so an engine that does not outlive its
+	// caller — one frame's or one payload's checksum — stays on the
+	// caller's stack.
+	e := newEngine(width, poly, init)
+	return &e
+}
+
+func newEngine(width uint, poly, init uint32) Engine {
 	if width == 0 || width > 32 {
 		panic(fmt.Sprintf("crc: unsupported width %d", width))
 	}
@@ -39,7 +47,7 @@ func New(width uint, poly, init uint32) *Engine {
 	if width < 32 {
 		mask = (1 << width) - 1
 	}
-	return &Engine{
+	return Engine{
 		width: width,
 		poly:  poly & mask,
 		mask:  mask,

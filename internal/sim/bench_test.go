@@ -1,18 +1,13 @@
 package sim
 
-import (
-	"container/heap"
-	"testing"
-)
+import "testing"
 
 // The kernel micro-benches measure the event calendar itself, with a
 // realistic standing population of pending events so the heap has
 // real depth. BenchmarkKernelSchedule must report 0 allocs/op: in
 // steady state every scheduling reuses a recycled event from the
-// free list. The *HeapBaseline variants run the same workloads on a
-// replica of the seed implementation (container/heap over a binary
-// heap with interface boxing) so the speedup is measurable from one
-// binary.
+// free list. (The container/heap baseline these were first measured
+// against is retired; its final numbers are in EXPERIMENTS.md.)
 
 const benchPool = 256
 
@@ -57,110 +52,32 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 }
 
-//
-// Baseline: the seed's container/heap calendar, reproduced verbatim
-// in miniature so the benches above have an in-binary reference.
-//
-
-type oldEvent struct {
-	at       Time
-	priority Priority
-	seq      uint64
-	index    int
-	fn       func()
-}
-
-type oldHeap []*oldEvent
-
-func (h oldHeap) Len() int { return len(h) }
-func (h oldHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// BenchmarkProcessBlock is one Block/wake cycle of a process, with a
+// timeout armed and cancelled: two fired events and two goroutine
+// hand-offs. It must report 0 allocs/op: the process re-arms its one
+// blocker and schedules callbacks bound at Spawn.
+func BenchmarkProcessBlock(b *testing.B) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	var wake func()
+	waker := func() { wake() }
+	k.Spawn("blocker", 0, func(p *Process) {
+		for {
+			var wait func() bool
+			wake, wait = p.Block(Second)
+			k.Schedule(Microsecond, waker)
+			wait()
+		}
+	})
+	k.Step() // spawn: the process runs to its first park
+	cycle := func() {
+		k.Step() // waker
+		k.Step() // unblock
 	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority < h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h oldHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *oldHeap) Push(x any) {
-	e := x.(*oldEvent)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *oldHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-type oldKernel struct {
-	now    Time
-	seq    uint64
-	events oldHeap
-}
-
-func (k *oldKernel) schedule(d Duration, fn func()) *oldEvent {
-	e := &oldEvent{at: k.now.Add(d), seq: k.seq, fn: fn}
-	k.seq++
-	heap.Push(&k.events, e)
-	return e
-}
-
-func (k *oldKernel) cancel(e *oldEvent) {
-	if e.index >= 0 {
-		heap.Remove(&k.events, e.index)
-	}
-}
-
-func (k *oldKernel) step() bool {
-	if len(k.events) == 0 {
-		return false
-	}
-	e := heap.Pop(&k.events).(*oldEvent)
-	k.now = e.at
-	e.fn()
-	return true
-}
-
-func BenchmarkKernelScheduleHeapBaseline(b *testing.B) {
-	k := &oldKernel{}
-	fn := func() {}
-	for i := 0; i < benchPool; i++ {
-		k.schedule(benchDelay(i), fn)
-	}
+	cycle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.schedule(benchDelay(i), fn)
-		k.step()
-	}
-}
-
-func BenchmarkKernelChurnHeapBaseline(b *testing.B) {
-	k := &oldKernel{}
-	fn := func() {}
-	for i := 0; i < benchPool; i++ {
-		k.schedule(benchDelay(i), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e1 := k.schedule(benchDelay(4*i), fn)
-		e2 := k.schedule(benchDelay(4*i+1), fn)
-		k.schedule(benchDelay(4*i+2), fn)
-		k.schedule(benchDelay(4*i+3), fn)
-		k.cancel(e1)
-		k.cancel(e2)
-		k.step()
-		k.step()
+		cycle()
 	}
 }

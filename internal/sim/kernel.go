@@ -56,10 +56,13 @@ func (e *Event) Seq() uint64 { return e.seq }
 // concurrent use from multiple goroutines except through Process,
 // which hands control back and forth in a strictly sequential way.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  calendar
-	free    []*Event // recycled fired/cancelled events
+	now    Time
+	seq    uint64
+	events calendar
+	free   []*Event // recycled fired/cancelled events
+	// procs holds every spawned process whose body has not returned;
+	// Shutdown unwinds them.
+	procs   []*Process
 	stopped bool
 	fired   uint64
 	rng     *rand.Rand

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcessSequentialWaits(t *testing.T) {
 	k := NewKernel(1)
@@ -151,5 +155,112 @@ func TestDoubleWakeIsHarmless(t *testing.T) {
 	k.Run()
 	if count != 1 {
 		t.Fatalf("process resumed %d times", count)
+	}
+}
+
+// TestWakeBeforeWaitLeavesNoEvent: a wake that lands before the process
+// parks is remembered by the blocker, not turned into an activation
+// event that would later resume the process out of some other wait.
+func TestWakeBeforeWaitLeavesNoEvent(t *testing.T) {
+	k := NewKernel(1)
+	var ok bool
+	var resumedAt Time
+	k.Spawn("early", 0, func(p *Process) {
+		wake, wait := p.Block(Forever)
+		wake()
+		ok = wait()
+		if n := k.Pending(); n != 0 {
+			t.Errorf("%d events pending after an early wake, want 0", n)
+		}
+		p.Wait(Second)
+		resumedAt = p.Now()
+	})
+	k.Run()
+	if !ok {
+		t.Fatal("early wake was not remembered")
+	}
+	if resumedAt != Time(Second) {
+		t.Fatalf("Wait(1s) after an early wake resumed at %v", resumedAt)
+	}
+}
+
+// TestBlockReusesOneBlocker: consecutive Blocks of one process, timed
+// out and woken in turn, each see only their own outcome.
+func TestBlockReusesOneBlocker(t *testing.T) {
+	k := NewKernel(1)
+	var got []bool
+	var wake func()
+	k.Spawn("serial", 0, func(p *Process) {
+		for i := 0; i < 4; i++ {
+			var wait func() bool
+			wake, wait = p.Block(10 * Millisecond)
+			got = append(got, wait())
+		}
+	})
+	// Wake the second and fourth Block; let the first and third expire.
+	k.Schedule(15*Millisecond, func() { wake() })
+	k.Schedule(32*Millisecond, func() { wake() })
+	k.Run()
+	want := []bool{false, true, false, true}
+	if len(got) != len(want) {
+		t.Fatalf("outcomes %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("outcomes %v, want %v", got, want)
+		}
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events left pending", k.Pending())
+	}
+}
+
+// TestShutdownUnwindsEveryLiveProcess covers the three states a process
+// can be left in when a run stops: parked in Wait, parked in Block, and
+// spawned but not yet started. Each body unwinds (its deferred calls
+// run) or never runs, and every goroutine exits.
+func TestShutdownUnwindsEveryLiveProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	unwound := 0
+	started := false
+	waiting := k.Spawn("waiting", 0, func(p *Process) {
+		defer func() { unwound++ }()
+		for {
+			p.Wait(Second)
+		}
+	})
+	blocked := k.Spawn("blocked", 0, func(p *Process) {
+		defer func() { unwound++ }()
+		_, wait := p.Block(Forever)
+		wait()
+		t.Error("blocked process resumed its body")
+	})
+	unstarted := k.Spawn("unstarted", 1000*Second, func(p *Process) { started = true })
+	finished := k.Spawn("finished", 0, func(p *Process) {})
+	k.RunUntil(Time(10 * Second))
+	if !finished.Done() || waiting.Done() || blocked.Done() || unstarted.Done() {
+		t.Fatal("unexpected process states before Shutdown")
+	}
+
+	k.Shutdown()
+
+	if unwound != 2 {
+		t.Errorf("%d bodies unwound, want 2", unwound)
+	}
+	if started {
+		t.Error("Shutdown ran the body of a process that had not started")
+	}
+	for _, p := range []*Process{waiting, blocked, unstarted} {
+		if !p.Done() {
+			t.Errorf("process %s not done after Shutdown", p.Name())
+		}
+	}
+	k.Shutdown() // idempotent
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before the kernel existed", n, before)
 	}
 }

@@ -68,18 +68,17 @@ func (k *Kernel) Ticker(label string, period Duration, fn func()) (stop func()) 
 		panic("sim: ticker period must be positive")
 	}
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		k.ScheduleName(label, period, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule()
-			}
-		})
+	// One closure serves every tick: it reschedules itself.
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		fn()
+		if !stopped {
+			k.ScheduleName(label, period, tick)
+		}
 	}
-	schedule()
+	k.ScheduleName(label, period, tick)
 	return func() { stopped = true }
 }

@@ -21,6 +21,20 @@ type Chain struct {
 	stats  ChainStats       //
 	tracer func(ev TraceEvent)
 
+	// Frame-path durations. The configuration is fixed at NewChain and
+	// slaves are only ever appended, so these are computed there and in
+	// AddSlaveAt; the frame path adds them up and never goes back to
+	// Config, whose methods cost a by-value copy and a float division
+	// per call.
+	bit       sim.Duration // one bit period
+	txT       sim.Duration // interframe gap + TX frame: launch to end of transmission
+	frameT    sim.Duration // one frame on the wire
+	procT     sim.Duration // slave command execution
+	turnT     sim.Duration // slave turnaround before its reply
+	extra     sim.Duration // sum of the long-segment delays
+	replyWait sim.Duration // launch to reply timeout
+	clearT    sim.Duration // launch to a broadcast frame clearing the far end
+
 	// corruptHook, when set, decides frame corruption instead of the
 	// configured FrameErrorRate (fault injection plane).
 	corruptHook func(rx bool) bool
@@ -56,8 +70,29 @@ func NewChain(k *sim.Kernel, cfg Config) *Chain {
 		panic(err)
 	}
 	c := &Chain{kernel: k, cfg: cfg, byID: make(map[uint8]*Slave)}
+	c.bit = cfg.BitPeriod()
+	c.frameT = c.bits(cfg.FrameBits())
+	c.txT = c.bits(cfg.GapBits) + c.frameT
+	c.procT = c.bits(cfg.ProcBits)
+	c.turnT = c.bits(cfg.TurnaroundBits)
+	c.retime()
 	c.master = newMaster(c)
 	return c
+}
+
+// bits converts a count of bit periods into a duration.
+func (c *Chain) bits(n int) sim.Duration { return sim.Duration(n) * c.bit }
+
+// retime recomputes the durations that depend on the chain's length.
+// The reply timeout is measured from the end of TX transmission and
+// widened by the long-segment delays, both ways.
+func (c *Chain) retime() {
+	c.extra = 0
+	for _, s := range c.slaves {
+		c.extra += s.segment
+	}
+	c.replyWait = c.txT + c.cfg.responseTimeout(len(c.slaves)) + 2*c.extra
+	c.clearT = c.txT + c.bits(c.cfg.HopBits*(len(c.slaves)+1)) + c.extra
 }
 
 // Kernel returns the simulation kernel the chain runs on.
@@ -75,6 +110,9 @@ func (c *Chain) Stats() ChainStats { return c.stats }
 // SetTracer installs a hook receiving every frame movement.
 func (c *Chain) SetTracer(fn func(TraceEvent)) { c.tracer = fn }
 
+// trace hands one frame movement to the tracer, if one is installed.
+// Callers that format a frame into info check c.tracer != nil first:
+// the formatting costs more than simulating the frame.
 func (c *Chain) trace(kind string, node uint8, info string) {
 	if c.tracer != nil {
 		c.tracer(TraceEvent{At: c.kernel.Now(), Kind: kind, Node: node, Info: info})
@@ -123,11 +161,11 @@ func (c *Chain) AddSlaveAt(id uint8, meters float64) *Slave {
 	if meters > longSegmentThreshold {
 		extra += longDriverLatency
 	}
-	s := &Slave{chain: c, id: id, pos: len(c.slaves), dev: &RAMDevice{}, segment: extra,
-		watchdogLabel: fmt.Sprintf("tpwire.watchdog[%d]", id),
-		execLabel:     fmt.Sprintf("tpwire.exec[%d]", id)}
+	s := newSlave(c, id, len(c.slaves), extra)
 	c.slaves = append(c.slaves, s)
 	c.byID[id] = s
+	s.delay = c.delayTo(s)
+	c.retime()
 	s.feedWatchdog()
 	return s
 }
@@ -136,19 +174,9 @@ func (c *Chain) AddSlaveAt(id uint8, meters float64) *Slave {
 // s: the configured per-hop repeater latency plus any long-distance
 // segment costs along the way.
 func (c *Chain) delayTo(s *Slave) sim.Duration {
-	d := c.cfg.Bits(c.cfg.HopBits * (s.pos + 1))
+	d := c.bits(c.cfg.HopBits * (s.pos + 1))
 	for i := 0; i <= s.pos; i++ {
 		d += c.slaves[i].segment
-	}
-	return d
-}
-
-// maxExtraDelay is the total long-segment delay of the whole chain,
-// used to widen the master's reply timeout.
-func (c *Chain) maxExtraDelay() sim.Duration {
-	var d sim.Duration
-	for _, s := range c.slaves {
-		d += s.segment
 	}
 	return d
 }
@@ -228,31 +256,32 @@ func (c *Chain) corrupt(rx bool) bool {
 	return c.cfg.FrameErrorRate > 0 && c.kernel.Rand().Float64() < c.cfg.FrameErrorRate
 }
 
-// sendRX models slave s generating an RX frame after the given delay
-// from now, propagating it up the chain with each intermediate slave
-// ORing its interrupt status into the INT bit, and delivering it to
-// the master.
-func (c *Chain) sendRX(s *Slave, rx frame.RX, after sim.Duration, deliver func(frame.RX, bool)) {
-	launch := after
-	travel := c.cfg.FrameTime() + c.delayTo(s)
-	c.kernel.ScheduleName("tpwire.rx", launch+travel, func() {
-		c.stats.BusyTime += c.cfg.FrameTime()
-		// INT is set if any slave the frame passes through (positions
-		// 0..s.pos) has a pending interrupt, including the originator.
-		for _, t := range c.slaves {
-			if t.pos <= s.pos && !t.resetting && t.dev.Pending() {
-				rx.Int = true
-				break
-			}
+// deliverRX is the arrival at the master port of the oldest RX frame
+// slave s has in flight. On its way up the chain every slave the frame
+// passed ORed its interrupt status into the INT bit.
+func (c *Chain) deliverRX(s *Slave) {
+	r := s.replies.pop()
+	rx := r.rx
+	c.stats.BusyTime += c.frameT
+	// INT is set if any slave the frame passes through (positions
+	// 0..s.pos) has a pending interrupt, including the originator.
+	for _, t := range c.slaves {
+		if t.pos <= s.pos && !t.resetting && t.dev.Pending() {
+			rx.Int = true
+			break
 		}
-		if c.corrupt(true) {
-			c.stats.CorruptedRX++
+	}
+	if c.corrupt(true) {
+		c.stats.CorruptedRX++
+		if c.tracer != nil {
 			c.trace("drop-rx", s.id, rx.String())
-			deliver(frame.RX{}, false)
-			return
 		}
-		c.stats.RXFrames++
+		c.master.handleReply(r.gen, frame.RX{}, false)
+		return
+	}
+	c.stats.RXFrames++
+	if c.tracer != nil {
 		c.trace("rx", s.id, rx.String())
-		deliver(rx, true)
-	})
+	}
+	c.master.handleReply(r.gen, rx, true)
 }

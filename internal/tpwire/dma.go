@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tpspace/internal/frame"
-	"tpspace/internal/sim"
 )
 
 // This file implements DMA burst transfers, the natural use of the
@@ -71,7 +70,7 @@ func (m *Master) ReadDMA(node uint8, addr uint8, n int, done func([]byte, error)
 }
 
 func (m *Master) readDMAChunk(node uint8, addr uint8, n int, done func([]byte, error)) {
-	m.enqueue(func(complete func()) {
+	m.enqueue(op{run: func(complete func()) {
 		setup := m.dmaSetup(node, addr, n)
 		m.seq(setup, func(_ frame.RX, err error) {
 			if err != nil {
@@ -84,7 +83,7 @@ func (m *Master) readDMAChunk(node uint8, addr uint8, n int, done func([]byte, e
 				complete()
 			})
 		})
-	})
+	}})
 }
 
 // WriteDMA pushes p into the single register addr of the node's
@@ -117,7 +116,7 @@ func (m *Master) WriteDMA(node uint8, addr uint8, p []byte, done func(error)) {
 }
 
 func (m *Master) writeDMAChunk(node uint8, addr uint8, p []byte, done func(error)) {
-	m.enqueue(func(complete func()) {
+	m.enqueue(op{run: func(complete func()) {
 		setup := m.dmaSetup(node, addr, len(p))
 		m.seq(setup, func(_ frame.RX, err error) {
 			if err != nil {
@@ -130,17 +129,43 @@ func (m *Master) writeDMAChunk(node uint8, addr uint8, p []byte, done func(error
 				complete()
 			})
 		})
-	})
+	}})
 }
 
 // dmaSetup builds the addressing frames: program the DMA counter in
 // the system space, then point at the window register in memory
 // space. The mirror elides whatever is already in place.
 func (m *Master) dmaSetup(node uint8, addr uint8, n int) []frame.TX {
-	fs := m.selectFrames(node, true, SysDMA)
+	var fs []frame.TX
+	address := func(system bool, reg uint8) {
+		for f, ok := m.addressFrame(node, system, int(reg)); ok; f, ok = m.addressFrame(node, system, int(reg)) {
+			fs = append(fs, f)
+		}
+	}
+	address(true, SysDMA)
 	fs = append(fs, frame.TX{Cmd: frame.CmdWrite, Data: uint8(n)})
-	fs = append(fs, m.selectFrames(node, false, addr)...)
+	address(false, addr)
 	return fs
+}
+
+// seq runs a list of frames in order, stopping at the first error.
+// Replies other than the final one are discarded.
+func (m *Master) seq(frames []frame.TX, done func(frame.RX, error)) {
+	if len(frames) == 0 {
+		done(frame.RX{}, nil)
+		return
+	}
+	var step func(i int)
+	step = func(i int) {
+		m.Submit(frames[i], func(rx frame.RX, err error) {
+			if err != nil || i == len(frames)-1 {
+				done(rx, err)
+				return
+			}
+			step(i + 1)
+		})
+	}
+	step(0)
 }
 
 // ErrDMACorrupt reports a burst whose trailing CRC failed after the
@@ -162,9 +187,9 @@ func (m *Master) stream(node uint8, addr uint8, n int, isWrite bool, data []byte
 	run = func() {
 		m.stats.Frames++
 		bits := cfg.FrameBits() + dmaStreamBits(cfg, n) + cfg.TurnaroundBits + cfg.ProcBits
-		dur := cfg.Bits(cfg.GapBits + bits)
+		dur := c.bits(cfg.GapBits + bits)
 		if s != nil {
-			dur += 2 * c.delayTo(s)
+			dur += 2 * s.delay
 		}
 		c.stats.BusyTime += dur
 		c.stats.TXFrames++
@@ -209,7 +234,9 @@ func (m *Master) stream(node uint8, addr uint8, n int, isWrite bool, data []byte
 			}
 			if corrupt {
 				c.stats.CorruptedRX++
-				c.trace("drop-rx", node, fmt.Sprintf("dma burst n=%d", n))
+				if c.tracer != nil {
+					c.trace("drop-rx", node, fmt.Sprintf("dma burst n=%d", n))
+				}
 				m.dmaRetry(&attempt, run, done)
 				return
 			}
@@ -220,7 +247,9 @@ func (m *Master) stream(node uint8, addr uint8, n int, isWrite bool, data []byte
 					s.dev.WriteReg(addr, b)
 				}
 				c.stats.RXFrames++
-				c.trace("rx", node, fmt.Sprintf("dma write ack n=%d", n))
+				if c.tracer != nil {
+					c.trace("rx", node, fmt.Sprintf("dma write ack n=%d", n))
+				}
 				done(nil, nil)
 				return
 			}
@@ -229,7 +258,9 @@ func (m *Master) stream(node uint8, addr uint8, n int, isWrite bool, data []byte
 				out[i] = s.dev.ReadReg(addr)
 			}
 			c.stats.RXFrames++
-			c.trace("rx", node, fmt.Sprintf("dma read n=%d", n))
+			if c.tracer != nil {
+				c.trace("rx", node, fmt.Sprintf("dma read n=%d", n))
+			}
 			done(out, nil)
 		})
 	}
@@ -252,19 +283,16 @@ func (m *Master) dmaRetry(attempt *int, run func(), done func([]byte, error)) {
 
 // ReadDMA blocks until the DMA burst read completes.
 func (s *Session) ReadDMA(node uint8, addr uint8, n int) ([]byte, error) {
-	var buf []byte
-	var res error
-	wake, wait := s.p.Block(sim.Forever)
-	s.m.ReadDMA(node, addr, n, func(b []byte, err error) { buf, res = b, err; wake() })
+	wait := s.block()
+	s.m.ReadDMA(node, addr, n, s.onBytes)
 	wait()
-	return buf, res
+	return s.buf, s.err
 }
 
 // WriteDMA blocks until the DMA burst write completes.
 func (s *Session) WriteDMA(node uint8, addr uint8, p []byte) error {
-	var res error
-	wake, wait := s.p.Block(sim.Forever)
-	s.m.WriteDMA(node, addr, p, func(err error) { res = err; wake() })
+	wait := s.block()
+	s.m.WriteDMA(node, addr, p, s.onErr)
 	wait()
-	return res
+	return s.err
 }

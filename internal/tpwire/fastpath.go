@@ -109,7 +109,7 @@ func (p *Poller) coalesceEligible() bool {
 		return false
 	}
 	m := c.master
-	if m.cur != nil || len(m.queue) != 0 || m.opActive || len(m.ops) != 0 {
+	if !m.Idle() {
 		return false
 	}
 	for _, s := range c.slaves {
@@ -295,7 +295,7 @@ func (p *Poller) maybeCoalesce() {
 	rearm := func(base sim.Time) {
 		for i, sl := range c.slaves {
 			if d := s2.slaves[i].wdIn; d >= 0 {
-				sl.watchdog = k.At(base.Add(d), sl.reset)
+				sl.watchdog = k.At(base.Add(d), sl.onWatchdog)
 			}
 		}
 	}

@@ -282,7 +282,7 @@ type Poller struct {
 // PollPeriodBits.
 func NewPoller(c *Chain, ids []uint8, period sim.Duration) *Poller {
 	if period <= 0 {
-		period = c.cfg.Bits(c.cfg.PollPeriodBits)
+		period = c.bits(c.cfg.PollPeriodBits)
 	}
 	return &Poller{chain: c, ids: append([]uint8(nil), ids...), period: period, MaxPerSweep: 4}
 }

@@ -182,3 +182,52 @@ func TestMasterIdleReflectsDrain(t *testing.T) {
 		t.Fatal("master not idle after drain")
 	}
 }
+
+// TestRetryOfCompletedTransactionIsDropped sets the reply timeout to
+// exactly the reply's flight time, so every timeout fires in the same
+// instant as — and, scheduled earlier, just before — the reply it was
+// waiting for. The timeout schedules a retry, the reply then completes
+// the transaction and the master launches the next one; the retry,
+// firing last, belongs to a finished transaction and must not put its
+// frame back on the wire.
+func TestRetryOfCompletedTransactionIsDropped(t *testing.T) {
+	// Slave 0 replies hop + proc + turnaround + frame + hop bit
+	// periods after the TX frame ends.
+	cfg := DefaultConfig()
+	cfg.ResponseTimeoutBits = 2*cfg.HopBits + cfg.ProcBits + cfg.TurnaroundBits + cfg.FrameBits()
+	k, c := testChain(t, 1, cfg)
+	m := c.Master()
+
+	frames := []frame.TX{
+		{Cmd: frame.CmdSelect, Data: frame.NodeAddr(1, false)},
+		{Cmd: frame.CmdPing},
+		{Cmd: frame.CmdPing},
+	}
+	done := make([]int, len(frames))
+	for i, f := range frames {
+		i := i
+		m.Submit(f, func(_ frame.RX, err error) {
+			if err != nil {
+				t.Errorf("frame %d: %v", i, err)
+			}
+			done[i]++
+		})
+	}
+	k.Run()
+
+	for i, n := range done {
+		if n != 1 {
+			t.Errorf("frame %d completed %d times, want 1", i, n)
+		}
+	}
+	st := m.Stats()
+	if st.Timeouts != 3 {
+		t.Fatalf("timeouts = %d, want 3 (the scenario no longer makes timeout and reply coincide)", st.Timeouts)
+	}
+	if st.Frames != 3 || st.Transactions != 3 {
+		t.Errorf("frames = %d, transactions = %d, want 3 and 3: a finished transaction was retransmitted", st.Frames, st.Transactions)
+	}
+	if !m.Idle() {
+		t.Error("master not idle after the run")
+	}
+}

@@ -69,6 +69,9 @@ type Slave struct {
 	// segment is the extra one-way delay of the wire segment between
 	// this slave and the previous node (long-distance links).
 	segment sim.Duration
+	// delay is the one-way propagation delay between the master and
+	// this slave (Chain.delayTo), fixed once the slave is attached.
+	delay sim.Duration
 
 	dev Device
 
@@ -84,12 +87,55 @@ type Slave struct {
 	// forced drop) bumps the generation so a release scheduled by an
 	// earlier, overlapping reset cannot end the new one prematurely.
 	releaseGen uint64
-	// watchdogLabel and execLabel are built once at construction; the
-	// paths that schedule with them run for every valid TX frame and
-	// must not format strings.
-	watchdogLabel string
-	execLabel     string
-	stats         SlaveStats
+	// Frames in flight at this slave. The master may move on before a
+	// frame has reached a far slave, or before a superseded attempt's
+	// reply has come back, so each stage keeps what it was actually
+	// sent, tagged with the transaction generation, instead of looking
+	// at the master's current transaction. Every stage's delay is a
+	// constant of the slave, so each queue drains in the order it
+	// filled and one callback per stage, bound once, pops its head.
+	arrivals ring[txInFlight] // launched, not yet here
+	execs    ring[txInFlight] // addressed to this slave, executing
+	replies  ring[rxInFlight] // on the way back to the master
+
+	// Labels and callbacks are built once at construction; the paths
+	// that schedule with them run for every valid TX frame and must
+	// neither format strings nor take method values (each of which
+	// allocates).
+	watchdogLabel  string
+	execLabel      string
+	resetDoneLabel string
+	dropDoneLabel  string
+	onArrive       func()
+	onExec         func()
+	onReply        func()
+	onWatchdog     func()
+	stats          SlaveStats
+}
+
+// txInFlight is a TX frame on its way to, or executing at, a slave.
+type txInFlight struct {
+	f   frame.TX
+	gen uint64 // Master.gen of the transaction that sent it
+}
+
+// rxInFlight is a slave's reply on its way to the master.
+type rxInFlight struct {
+	rx  frame.RX
+	gen uint64
+}
+
+func newSlave(c *Chain, id uint8, pos int, segment sim.Duration) *Slave {
+	s := &Slave{chain: c, id: id, pos: pos, dev: &RAMDevice{}, segment: segment,
+		watchdogLabel:  fmt.Sprintf("tpwire.watchdog[%d]", id),
+		execLabel:      fmt.Sprintf("tpwire.exec[%d]", id),
+		resetDoneLabel: fmt.Sprintf("tpwire.resetdone[%d]", id),
+		dropDoneLabel:  fmt.Sprintf("tpwire.dropdone[%d]", id)}
+	s.onArrive = s.arrive
+	s.onExec = s.exec
+	s.onReply = func() { c.deliverRX(s) }
+	s.onWatchdog = s.reset
+	return s
 }
 
 // ID returns the slave's node ID.
@@ -131,7 +177,7 @@ func (s *Slave) feedWatchdog() {
 		k.Cancel(s.watchdog)
 	}
 	s.watchdog = k.ScheduleName(s.watchdogLabel,
-		s.chain.cfg.Bits(ResetTimeoutBits), s.reset)
+		s.chain.bits(ResetTimeoutBits), s.onWatchdog)
 }
 
 // reset performs the watchdog reset: the slave deselects, clears its
@@ -142,8 +188,7 @@ func (s *Slave) feedWatchdog() {
 func (s *Slave) reset() {
 	s.stats.Resets++
 	s.watchdog = nil
-	s.holdReset(fmt.Sprintf("tpwire.resetdone[%d]", s.id),
-		s.chain.cfg.Bits(ResetActiveBits))
+	s.holdReset(s.resetDoneLabel, s.chain.bits(ResetActiveBits))
 }
 
 // Drop forces the slave into its reset state for d, modelling a node
@@ -156,7 +201,7 @@ func (s *Slave) Drop(d sim.Duration) {
 		s.chain.kernel.Cancel(s.watchdog)
 		s.watchdog = nil
 	}
-	s.holdReset(fmt.Sprintf("tpwire.dropdone[%d]", s.id), d)
+	s.holdReset(s.dropDoneLabel, d)
 }
 
 // holdReset enters the reset state and schedules its release after d.
@@ -174,6 +219,33 @@ func (s *Slave) holdReset(label string, d sim.Duration) {
 			s.resetting = false
 		}
 	})
+}
+
+// arrive is the oldest launched TX frame reaching this slave. The slave
+// feeds its watchdog, evaluates SELECT addressing and, if it is the
+// addressed node, executes the command after its processing delay.
+func (s *Slave) arrive() {
+	a := s.arrivals.pop()
+	s.observe(a.f)
+	if s.resetting || !s.selected {
+		return
+	}
+	s.execs.push(a)
+	s.chain.kernel.ScheduleName(s.execLabel, s.chain.procT, s.onExec)
+}
+
+// exec runs the oldest addressed frame and sends the reply after the
+// turnaround, unless the selection is broadcast: all execute, none
+// replies.
+func (s *Slave) exec() {
+	c := s.chain
+	e := s.execs.pop()
+	rx := s.execute(e.f)
+	if c.broadcastSelected() {
+		return
+	}
+	s.replies.push(rxInFlight{rx: rx, gen: e.gen})
+	c.kernel.ScheduleName("tpwire.rx", c.turnT+c.frameT+s.delay, s.onReply)
 }
 
 // observe is called for every valid TX frame travelling down the

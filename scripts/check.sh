@@ -5,11 +5,13 @@
 #   and chaos harness's guard tests, the fast-path equivalence of every
 #   paper output, the codec-parity table of the wrapper client and the
 #   lease property test against the refSpace oracle), a fuzz smoke over
-#   every fuzz target, kernel/space/transport/wrapper bench
+#   every fuzz target, kernel/tpwire/space/transport/wrapper bench
 #   regression smokes that fail if the calendar's schedule/churn
-#   paths, the space's take hot paths, the steady-state TCP receive
-#   path, or the gateway's binary decode->space->respond path
-#   allocate, a sync-client-op alloc gate (the pooled completion-cell
+#   paths, a process Block/wake cycle, a steady-state TpWIRE
+#   transaction (master, four slaves, a blocking session), the space's
+#   take hot paths, the steady-state TCP receive path, or the
+#   gateway's binary decode->space->respond path allocate (the plan
+#   grid's allocation budget is a core test), a sync-client-op alloc gate (the pooled completion-cell
 #   path must stay <=1 alloc/op end to end), a tiny -netbench run of
 #   the network serving plane (both transports, both codecs) including
 #   the multi-op batch rows (-batchops 8), a -scaling smoke (the
@@ -66,16 +68,31 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/tpbench" ./cmd/tpbench
 
-echo "==> kernel bench regression smoke (schedule/churn must not allocate)"
-go test -run '^$' -bench '^BenchmarkKernel(Schedule|Churn)$' -benchmem \
+echo "==> kernel bench regression smoke (schedule/churn and a process Block/wake cycle must not allocate)"
+go test -run '^$' -bench '^Benchmark(Kernel(Schedule|Churn)|ProcessBlock)$' -benchmem \
     -benchtime=10000x ./internal/sim/ | tee "$tmp/kernelbench.txt"
-if awk '/^BenchmarkKernel(Schedule|Churn)-/ {
+if awk '/^Benchmark(Kernel(Schedule|Churn)|ProcessBlock)-/ {
+        seen++
         for (i = 2; i < NF; i++)
             if ($(i + 1) == "allocs/op" && $i + 0 > 0) { bad = 1; print $1, $i, "allocs/op" }
-    } END { exit bad }' "$tmp/kernelbench.txt"; then
+    } END { exit bad || seen != 3 }' "$tmp/kernelbench.txt"; then
     :
 else
-    echo "kernel calendar regression: schedule/churn allocates" >&2
+    echo "kernel regression: schedule/churn or Process.Block allocates" >&2
+    exit 1
+fi
+
+echo "==> TpWIRE frame-path regression smoke (a steady-state transaction must not allocate)"
+go test -run '^$' -bench '^BenchmarkChainTransaction$' -benchmem \
+    -benchtime=10000x ./internal/tpwire/ | tee "$tmp/chainbench.txt"
+if awk '/^BenchmarkChainTransaction-/ {
+        seen++
+        for (i = 2; i < NF; i++)
+            if ($(i + 1) == "allocs/op" && $i + 0 > 0) { bad = 1; print $1, $i, "allocs/op" }
+    } END { exit bad || seen != 1 }' "$tmp/chainbench.txt"; then
+    :
+else
+    echo "tpwire regression: the steady-state frame path allocates" >&2
     exit 1
 fi
 
