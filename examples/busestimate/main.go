@@ -22,7 +22,7 @@ func main() {
 
 	fmt.Println("Figure 7 case study: estimating tuplespace cost on the TpWIRE bus")
 	fmt.Printf("  bus: %.0f bit/s, %d wire(s); entry payload %d bytes; lease %v\n",
-		cfg.Bus.BitRate, 1, cfg.PayloadBytes, cfg.Lease)
+		cfg.Bus.BitRate, cfg.Bus.Wires, cfg.PayloadBytes, cfg.Lease)
 	fmt.Printf("  background CBR: %g B/s of 1-byte packets (Slave2 -> Slave4)\n\n", cfg.CBRRate)
 
 	res := core.RunImpact(cfg)
@@ -46,7 +46,7 @@ func main() {
 	// What would the 2-wire upgrade buy? Run the same cell on the
 	// scaled bus — the estimation the methodology exists to answer.
 	cfg2 := cfg
-	cfg2.Wires = 2
+	cfg2.Bus.Wires = 2
 	res2 := core.RunImpact(cfg2)
 	fmt.Printf("\n2-wire estimate: completion %s", core.ImpactCell(res2))
 	if res.TakeOK && res2.TakeOK {

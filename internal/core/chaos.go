@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"tpspace/internal/cosim"
 	"tpspace/internal/fault"
 	"tpspace/internal/rmi"
 	"tpspace/internal/sim"
 	"tpspace/internal/space"
-	"tpspace/internal/tpwire"
 	"tpspace/internal/transport"
 	"tpspace/internal/tuple"
 	"tpspace/internal/wrapper"
@@ -30,22 +28,23 @@ type ChaosConfig struct {
 	FaultRate float64
 	// FaultDur is how long each fault window holds (default lease/8).
 	FaultDur sim.Duration
-	// CorruptProb is the per-frame corruption probability inside a
-	// wire-corrupt window (default 0.2).
-	CorruptProb float64
 	// Kinds is the cycle of injected fault kinds (default: wire
 	// corruption, disconnect, server-slave dropout, server crash).
 	Kinds []fault.Kind
-	// DropNode is the chain slave dropped by SlaveDrop events (default
-	// 3, the space server's slave).
-	DropNode uint8
-	// Attempts and OpDeadline shape the client's retransmission policy:
-	// per-attempt response budget OpDeadline (plus the op's own blocking
-	// timeout), capped-exponential backoff between attempts. Defaults:
-	// 4 attempts, lease/2 deadline.
-	Attempts   int
-	OpDeadline sim.Duration
 }
+
+const (
+	// chaosCorruptProb is the per-frame corruption probability inside
+	// a wire-corrupt window.
+	chaosCorruptProb = 0.2
+	// chaosDropNode is the chain slave SlaveDrop events drop: the
+	// space server's.
+	chaosDropNode = 3
+	// chaosAttempts is the client's transmission budget per op. Each
+	// attempt may take lease/2 beyond the op's own blocking timeout,
+	// with capped-exponential backoff between attempts.
+	chaosAttempts = 4
+)
 
 // DefaultChaosConfig is the published case-study calibration with a
 // moderate fault plan.
@@ -54,43 +53,12 @@ func DefaultChaosConfig() ChaosConfig {
 }
 
 func (c *ChaosConfig) normalize() {
-	def := DefaultImpactConfig()
-	ic := &c.Impact
-	if ic.Lease == 0 {
-		ic.Lease = def.Lease
-	}
-	if ic.TakeDelay == 0 {
-		ic.TakeDelay = def.TakeDelay
-	}
-	if ic.PayloadBytes == 0 {
-		ic.PayloadBytes = def.PayloadBytes
-	}
-	if ic.Horizon == 0 {
-		ic.Horizon = def.Horizon
-	}
-	if ic.Bus.BitRate == 0 {
-		ic.Bus.BitRate = def.Bus.BitRate
-	}
-	if ic.Wires != 0 {
-		ic.Bus.Wires = ic.Wires
-	}
+	c.Impact.normalize()
 	if c.FaultDur == 0 {
-		c.FaultDur = ic.Lease / 8
-	}
-	if c.CorruptProb == 0 {
-		c.CorruptProb = 0.2
+		c.FaultDur = c.Impact.Lease / 8
 	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = []fault.Kind{fault.WireCorrupt, fault.Disconnect, fault.SlaveDrop, fault.ServerCrash}
-	}
-	if c.DropNode == 0 {
-		c.DropNode = 3
-	}
-	if c.Attempts == 0 {
-		c.Attempts = 4
-	}
-	if c.OpDeadline == 0 {
-		c.OpDeadline = ic.Lease / 2
 	}
 }
 
@@ -111,9 +79,9 @@ func (c ChaosConfig) plan() fault.Plan {
 		}
 		switch ev.Kind {
 		case fault.WireCorrupt:
-			ev.Prob = c.CorruptProb
+			ev.Prob = chaosCorruptProb
 		case fault.SlaveDrop:
-			ev.Node = c.DropNode
+			ev.Node = chaosDropNode
 		}
 		p = append(p, ev)
 	}
@@ -163,79 +131,52 @@ func (r ChaosResult) OK() bool { return len(r.Violations) == 0 }
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	cfg.normalize()
 	ic := cfg.Impact
-
-	k := sim.NewKernel(ic.Seed)
+	w := newFig7(ic)
+	k := w.k
 	defer k.Shutdown()
-	chain := tpwire.NewChain(k, ic.Bus)
 
-	// Figure 7 topology: client(1), CBR(2), server(3), receiver(4).
-	mbClient := tpwire.NewMailboxDevice(nil)
-	chain.AddSlave(1).SetDevice(mbClient)
-	mbCBR := tpwire.NewMailboxDevice(nil)
-	chain.AddSlave(2).SetDevice(mbCBR)
-	mbServer := tpwire.NewMailboxDevice(nil)
-	chain.AddSlave(3).SetDevice(mbServer)
-	mbRecv := tpwire.NewMailboxDevice(nil)
-	chain.AddSlave(4).SetDevice(mbRecv)
-	sink := tpwire.NewSink(k)
-	sink.Attach(mbRecv)
-
-	poller := tpwire.NewPoller(chain, []uint8{1, 2, 3, 4}, 0)
-	if ic.MaxPerSweep > 0 {
-		poller.MaxPerSweep = ic.MaxPerSweep
-	}
-	poller.FastPath = !ic.NoFastPath
-	poller.Start()
-
-	// Server stack on Slave3, with a crash-surviving journal.
-	sp := space.New(space.SimRuntime{K: k})
+	// The space server keeps a crash-surviving journal.
 	var journalBuf bytes.Buffer
 	journal := space.NewJournal(&journalBuf)
-	sp.SetJournal(journal)
-	srvConn := transport.NewMailboxConn(mbServer, 1)
-	wrapper.NewSimServerStack(k, srvConn, sp, sim.Millisecond)
+	w.sp.SetJournal(journal)
 
-	// Client stack on Slave1 behind the co-simulation bridge, with a
-	// cuttable link and a retransmitting client.
-	cliConn := transport.NewMailboxConn(mbClient, 3)
-	bridge := cosim.NewBridge(k, cliConn, ic.CosimPerMsg, ic.CosimPerByte)
-	fc := transport.NewFaultConn(bridge)
+	// The client on Slave1 sits behind a cuttable link and
+	// retransmits.
+	fc := transport.NewFaultConn(w.bridge)
 	client := wrapper.NewClient(fc)
 	fc.OnRestore = client.Resend
+	opDeadline := ic.Lease / 2
 	backoff := rmi.Backoff{
-		Base:   cfg.OpDeadline / 16,
-		Cap:    cfg.OpDeadline / 2,
+		Base:   opDeadline / 16,
+		Cap:    opDeadline / 2,
 		Factor: 2,
 		Jitter: 0.3,
 	}
 	client.SetResilience(&wrapper.Resilience{
 		Timer:    rmi.KernelTimer(k),
-		Attempts: cfg.Attempts,
-		Deadline: cfg.OpDeadline,
+		Attempts: chaosAttempts,
+		Deadline: opDeadline,
 		Backoff:  backoff,
 		Rand:     k.Rand(),
 	})
-
-	cbr := tpwire.NewCBR(k, mbCBR, 4, ic.CBRRate, 1)
-	cbr.Start()
 
 	// Crash wipes the live store (the journal survives, as a disk
 	// would); restart replays it, satisfying any takes that were
 	// re-issued while the server was down.
 	crash := func() {
 		journal.Flush()
-		sp.Crash()
+		w.sp.Crash()
 	}
 	var replayErr error
 	restart := func() {
 		journal.Flush()
 		snap := append([]byte(nil), journalBuf.Bytes()...)
-		if _, err := sp.Replay(bytes.NewReader(snap)); err != nil && replayErr == nil {
+		if _, err := w.sp.Replay(bytes.NewReader(snap)); err != nil && replayErr == nil {
 			replayErr = err
 		}
 	}
 	inj, err := fault.Arm(k, cfg.plan(), fault.Targets{
-		Chain:   chain,
+		Chain:   w.chain,
 		Conn:    fc,
 		Crash:   crash,
 		Restart: restart,
@@ -243,19 +184,6 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	if err != nil {
 		return ChaosResult{Violations: []string{fmt.Sprintf("arming fault plan: %v", err)}}
 	}
-
-	payload := make([]byte, ic.PayloadBytes)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	entry := tuple.New("case-study",
-		tuple.Int("id", 1),
-		tuple.Bytes("vector", payload),
-	)
-	tmpl := tuple.New("case-study",
-		tuple.Int("id", 1),
-		tuple.AnyBytes("vector"),
-	)
 
 	var res ChaosResult
 	var leaseEnd sim.Duration
@@ -269,7 +197,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			return
 		}
 		res.TakeAttempts++
-		client.TakeStatus(tmpl, remaining, func(_ tuple.Tuple, ok bool, msg string) {
+		client.TakeStatus(w.tmpl, remaining, func(_ tuple.Tuple, ok bool, msg string) {
 			if ok {
 				res.TakeOK = true
 				res.Total = sim.Duration(k.Now())
@@ -291,7 +219,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			takeResolved = true
 		})
 	}
-	client.Write(entry, ic.Lease, func(ok bool, _ string) {
+	client.Write(w.entry, ic.Lease, func(ok bool, _ string) {
 		if !ok {
 			return
 		}
@@ -305,18 +233,18 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	})
 
 	k.RunUntil(sim.Time(ic.Horizon))
-	cbr.Stop()
-	poller.Stop()
+	w.cbr.Stop()
+	w.poller.Stop()
 	k.Run() // drain: open fault windows, retransmissions, lease timers
 
 	if !res.TakeOK {
 		res.Total = 0
 	}
 	res.Injected = inj.Injected()
-	res.Crashes = sp.Stats().Crashes
-	res.Restored = sp.Stats().Restored
-	res.BusRetries = chain.Master().Stats().Retries
-	res.BusIdle = chain.Master().Idle()
+	res.Crashes = w.sp.Stats().Crashes
+	res.Restored = w.sp.Stats().Restored
+	res.BusRetries = w.chain.Master().Stats().Retries
+	res.BusIdle = w.chain.Master().Idle()
 
 	// Invariant checks.
 	viol := func(format string, args ...any) {
@@ -331,7 +259,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	if res.WriteOK {
 		// Worst-case client-side slack on top of the lease: every
 		// attempt may run its full budget plus the capped backoff.
-		slack := sim.Duration(cfg.Attempts) * (cfg.OpDeadline + backoff.Cap)
+		slack := chaosAttempts * (opDeadline + backoff.Cap)
 		if !takeResolved {
 			viol("take unresolved at end of run")
 		} else if res.TakeResolved > leaseEnd+slack {
@@ -342,11 +270,11 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		if _, err := fresh.Replay(bytes.NewReader(journalBuf.Bytes())); err != nil {
 			viol("final journal replay: %v", err)
 		}
-		n := fresh.Count(tmpl)
+		n := fresh.Count(w.tmpl)
 		switch {
 		case res.TakeOK && n != 0:
 			viol("acked take not durable: %d copies survive replay", n)
-		case !res.TakeOK && sp.Stats().Expired == 0 && sp.Stats().Takes == 0 && n != 1:
+		case !res.TakeOK && w.sp.Stats().Expired == 0 && w.sp.Stats().Takes == 0 && n != 1:
 			viol("acknowledged write lost: %d copies survive replay, no take or expiry recorded", n)
 		}
 	}
@@ -400,21 +328,17 @@ type ChaosGrid struct {
 func RunChaosGrid(cfg ChaosGridConfig) ChaosGrid {
 	base := cfg.Base
 	base.normalize()
-	g := ChaosGrid{FaultRates: cfg.FaultRates, Wires: cfg.Wires, Lease: base.Impact.Lease}
-	jobs := make([]func() ChaosResult, 0, len(cfg.FaultRates)*len(cfg.Wires))
-	for _, rate := range cfg.FaultRates {
-		for _, w := range cfg.Wires {
+	return ChaosGrid{
+		FaultRates: cfg.FaultRates,
+		Wires:      cfg.Wires,
+		Lease:      base.Impact.Lease,
+		Cells: runGrid(cfg.Workers, cfg.FaultRates, cfg.Wires, func(rate float64, wires int) ChaosResult {
 			c := cfg.Base
 			c.FaultRate = rate
-			c.Impact.Wires = w
-			jobs = append(jobs, func() ChaosResult { return RunChaos(c) })
-		}
+			c.Impact.Bus.Wires = wires
+			return RunChaos(c)
+		}),
 	}
-	flat := RunAll(cfg.Workers, jobs)
-	for i := range cfg.FaultRates {
-		g.Cells = append(g.Cells, flat[i*len(cfg.Wires):(i+1)*len(cfg.Wires)])
-	}
-	return g
 }
 
 // Violations flattens every cell's invariant failures.

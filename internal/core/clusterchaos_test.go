@@ -84,7 +84,7 @@ func TestClusterChaosDeterministic(t *testing.T) {
 // paths: the goldens under testdata/golden_cli (the files check.sh
 // diffs the CLI against) were captured from tpbench before the cluster
 // plane existed, and compiling it in must not move a byte of -table 4,
-// -sweep, -fig 7, or -chaos output.
+// -sweep, -fig 7, -chaos or -plan output.
 func TestSingleNodeOutputsUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full single-node regeneration in -short mode")
@@ -106,6 +106,7 @@ func TestSingleNodeOutputsUnchanged(t *testing.T) {
 	check("table4.txt", RunTable4(DefaultTable4Config()).Format())
 	check("sweep.csv", RunSweep(DefaultSweepConfig()).CSV())
 	check("chaos.txt", RunChaosGrid(DefaultChaosGridConfig()).Format())
+	check("plan.txt", RunPlan(PlanConfig{Requirements: DefaultRequirements()}).Format())
 
 	// Reproduce tpbench -fig 7's exact output.
 	cfg := DefaultImpactConfig()

@@ -132,7 +132,6 @@ func runTpwireExchange(cfg CompareConfig, bitrate float64, name, hw string) Subs
 	ic.CBRRate = 0
 	ic.PayloadBytes = cfg.PayloadBytes
 	ic.TakeDelay = sim.Millisecond // back-to-back: measure the exchange only
-	ic.Lease = 0                   // defaulted to 160 s by RunImpact
 	ic.Horizon = 3000 * sim.Second
 	ic.CosimPerMsg = 0 // pure substrate comparison, no cosim toll
 	ic.CosimPerByte = 0

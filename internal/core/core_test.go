@@ -137,9 +137,9 @@ func TestImpactIdleBusCompletes(t *testing.T) {
 
 func TestImpactTwoWireFaster(t *testing.T) {
 	one := quickImpact()
-	one.Wires = 1
+	one.Bus.Wires = 1
 	two := quickImpact()
-	two.Wires = 2
+	two.Bus.Wires = 2
 	r1 := RunImpact(one)
 	r2 := RunImpact(two)
 	if !r1.TakeOK || !r2.TakeOK {
@@ -151,6 +151,18 @@ func TestImpactTwoWireFaster(t *testing.T) {
 	ratio := float64(r1.Total) / float64(r2.Total)
 	if ratio > 2.0 {
 		t.Fatalf("2-wire speedup %.2f exceeds physical bound", ratio)
+	}
+}
+
+// TestImpactHonoursBusWires: the bus width is Bus.Wires and nothing
+// else. A second wire-count field once shadowed it, so setting
+// Bus.Wires on a default config silently ran the 1-wire bus
+// (134.380613 s).
+func TestImpactHonoursBusWires(t *testing.T) {
+	cfg := DefaultImpactConfig()
+	cfg.Bus.Wires = 2
+	if got, want := RunImpact(cfg).Total, sim.Duration(117_227_286_668); got != want {
+		t.Fatalf("default config with Bus.Wires = 2 completes at %v, want the 2-wire %v", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@ func TestImpactFastPathEquivalence(t *testing.T) {
 		cfg := DefaultImpactConfig()
 		cfg.Bus.BitRate = rate
 		cfg.CBRRate = cbr
-		cfg.Wires = wires
+		cfg.Bus.Wires = wires
 		cfg.NoFastPath = noFast
 		return RunImpact(cfg)
 	}
@@ -66,9 +66,10 @@ func TestPlanFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestPaperOutputsFastPathEquivalence: the rendered Table 4 grid and
-// the CBR sweep CSV — what `tpbench -table 4` and `-sweep` print — must
-// be byte-identical on the per-event reference path.
+// TestPaperOutputsFastPathEquivalence: the rendered Table 4 grid, the
+// CBR sweep CSV and the chaos table — what `tpbench -table 4`, `-sweep`
+// and `-chaos` print — must be byte-identical on the per-event
+// reference path.
 func TestPaperOutputsFastPathEquivalence(t *testing.T) {
 	table4 := func(noFast bool) string {
 		cfg := DefaultTable4Config()
@@ -80,7 +81,12 @@ func TestPaperOutputsFastPathEquivalence(t *testing.T) {
 		cfg.Base.NoFastPath = noFast
 		return RunSweep(cfg).CSV()
 	}
-	for name, render := range map[string]func(bool) string{"table4": table4, "sweep": sweep} {
+	chaos := func(noFast bool) string {
+		cfg := DefaultChaosGridConfig()
+		cfg.Base.Impact.NoFastPath = noFast
+		return RunChaosGrid(cfg).Format()
+	}
+	for name, render := range map[string]func(bool) string{"table4": table4, "sweep": sweep, "chaos": chaos} {
 		if slow, fast := render(true), render(false); slow != fast {
 			t.Errorf("%s: fast path output diverged:\nslow:\n%s\nfast:\n%s", name, slow, fast)
 		}

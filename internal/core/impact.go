@@ -20,10 +20,9 @@ import (
 // traffic threshold the take no longer completes inside the lease
 // ("Out of Time" in Table 4).
 type ImpactConfig struct {
-	// Bus is the TpWIRE configuration; Wires selects the 1-wire or
-	// 2-wire variant (Bus.Wires is overridden).
-	Bus   tpwire.Config
-	Wires int
+	// Bus is the TpWIRE configuration; Bus.Wires selects the 1-wire
+	// or 2-wire variant.
+	Bus tpwire.Config
 	// CBRRate is the background load in bytes/second (the paper
 	// sweeps 0, 0.3 and 1 B/s of 1-byte packets).
 	CBRRate float64
@@ -69,8 +68,8 @@ func DefaultImpactConfig() ImpactConfig {
 			TurnaroundBits: 2,
 			ProcBits:       4,
 			HopBits:        1,
+			Wires:          1,
 		},
-		Wires:        1,
 		CBRRate:      0,
 		Lease:        160 * sim.Second,
 		TakeDelay:    85 * sim.Second,
@@ -108,30 +107,47 @@ type ImpactResult struct {
 // OutOfTime reports whether the cell renders as "Out of Time".
 func (r ImpactResult) OutOfTime() bool { return !r.TakeOK }
 
-// RunImpact executes the Figure 7 case study once.
-func RunImpact(cfg ImpactConfig) ImpactResult {
+// normalize fills zero fields from DefaultImpactConfig. It is the only
+// place the Figure 7 defaults are filled.
+func (c *ImpactConfig) normalize() {
 	def := DefaultImpactConfig()
-	if cfg.Lease == 0 {
-		cfg.Lease = def.Lease
+	if c.Lease == 0 {
+		c.Lease = def.Lease
 	}
-	if cfg.TakeDelay == 0 {
-		cfg.TakeDelay = def.TakeDelay
+	if c.TakeDelay == 0 {
+		c.TakeDelay = def.TakeDelay
 	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = def.PayloadBytes
+	if c.PayloadBytes == 0 {
+		c.PayloadBytes = def.PayloadBytes
 	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = def.Horizon
+	if c.Horizon == 0 {
+		c.Horizon = def.Horizon
 	}
-	if cfg.Bus.BitRate == 0 {
-		cfg.Bus.BitRate = def.Bus.BitRate
+	if c.Bus.BitRate == 0 {
+		c.Bus.BitRate = def.Bus.BitRate
 	}
-	if cfg.Wires != 0 {
-		cfg.Bus.Wires = cfg.Wires
-	}
+}
 
+// fig7 is one Figure 7 world, built and started but not yet run. A
+// runner wraps bridge in its own client and drives its own exchange
+// script on it: write entry, later take it back with tmpl.
+type fig7 struct {
+	k      *sim.Kernel
+	chain  *tpwire.Chain
+	poller *tpwire.Poller
+	sp     *space.Space
+	bridge *cosim.Bridge
+	cbr    *tpwire.CBR
+	sink   *tpwire.Sink
+	entry  tuple.Tuple
+	tmpl   tuple.Tuple
+}
+
+// newFig7 builds the case study from a normalized config. The caller
+// owns the kernel and must Shutdown it: the poller process is still
+// parked when a run ends.
+func newFig7(cfg ImpactConfig) *fig7 {
 	k := sim.NewKernel(cfg.Seed)
-	defer k.Shutdown() // the poller process is still parked when the run ends
 	chain := tpwire.NewChain(k, cfg.Bus)
 
 	// Figure 7 topology: client(1), CBR(2), server(3), receiver(4).
@@ -159,11 +175,10 @@ func RunImpact(cfg ImpactConfig) ImpactResult {
 	srvConn := transport.NewMailboxConn(mbServer, 1)
 	wrapper.NewSimServerStack(k, srvConn, sp, sim.Millisecond)
 
-	// Client stack on Slave1, through the co-simulation bridge
+	// Client side of Slave1, through the co-simulation bridge
 	// (Figure 5: gdb -> SC1 -> shm -> bus).
 	cliConn := transport.NewMailboxConn(mbClient, 3)
 	bridge := cosim.NewBridge(k, cliConn, cfg.CosimPerMsg, cfg.CosimPerByte)
-	client := wrapper.NewClient(bridge)
 
 	// Background CBR on Slave2 towards Slave4.
 	cbr := tpwire.NewCBR(k, mbCBR, 4, cfg.CBRRate, 1)
@@ -174,17 +189,29 @@ func RunImpact(cfg ImpactConfig) ImpactResult {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	entry := tuple.New("case-study",
-		tuple.Int("id", 1),
-		tuple.Bytes("vector", payload),
-	)
-	tmpl := tuple.New("case-study",
-		tuple.Int("id", 1),
-		tuple.AnyBytes("vector"),
-	)
+	return &fig7{
+		k:      k,
+		chain:  chain,
+		poller: poller,
+		sp:     sp,
+		bridge: bridge,
+		cbr:    cbr,
+		sink:   sink,
+		entry:  tuple.New("case-study", tuple.Int("id", 1), tuple.Bytes("vector", payload)),
+		tmpl:   tuple.New("case-study", tuple.Int("id", 1), tuple.AnyBytes("vector")),
+	}
+}
+
+// RunImpact executes the Figure 7 case study once.
+func RunImpact(cfg ImpactConfig) ImpactResult {
+	cfg.normalize()
+	w := newFig7(cfg)
+	k := w.k
+	defer k.Shutdown()
+	client := wrapper.NewClient(w.bridge)
 
 	var res ImpactResult
-	client.Write(entry, cfg.Lease, func(ok bool, errMsg string) {
+	client.Write(w.entry, cfg.Lease, func(ok bool, errMsg string) {
 		if !ok {
 			return // leaves TakeOK false: rendered as failure
 		}
@@ -194,7 +221,7 @@ func RunImpact(cfg ImpactConfig) ImpactResult {
 			// "...removes the entry just written from the space only
 			// if the entry lifetime is not out-of-date": a
 			// non-blocking take.
-			client.TakeIfExists(tmpl, func(_ tuple.Tuple, ok bool) {
+			client.TakeIfExists(w.tmpl, func(_ tuple.Tuple, ok bool) {
 				res.TakeOK = ok
 				res.Total = sim.Duration(k.Now())
 				k.Stop()
@@ -203,16 +230,16 @@ func RunImpact(cfg ImpactConfig) ImpactResult {
 	})
 
 	k.RunUntil(sim.Time(cfg.Horizon))
-	cbr.Stop()
-	poller.Stop()
+	w.cbr.Stop()
+	w.poller.Stop()
 
 	if !res.TakeOK {
 		res.Total = 0
 	}
-	res.Expired = sp.Stats().Expired > 0
-	res.BusFrames = chain.Stats().TXFrames + chain.Stats().RXFrames
-	res.BusBusy = chain.Stats().BusyTime
-	res.CBRDelivered = sink.Messages
+	res.Expired = w.sp.Stats().Expired > 0
+	res.BusFrames = w.chain.Stats().TXFrames + w.chain.Stats().RXFrames
+	res.BusBusy = w.chain.Stats().BusyTime
+	res.CBRDelivered = w.sink.Messages
 	return res
 }
 
@@ -257,24 +284,19 @@ type Table4 struct {
 // RunTable4 executes the sweep, running every cell's co-simulation
 // concurrently on the configured worker pool.
 func RunTable4(cfg Table4Config) Table4 {
-	t := Table4{CBRRates: cfg.CBRRates, Wires: cfg.Wires, Lease: cfg.Base.Lease}
-	if t.Lease == 0 {
-		t.Lease = DefaultImpactConfig().Lease
-	}
-	jobs := make([]func() ImpactResult, 0, len(cfg.CBRRates)*len(cfg.Wires))
-	for _, rate := range cfg.CBRRates {
-		for _, w := range cfg.Wires {
+	base := cfg.Base
+	base.normalize()
+	return Table4{
+		CBRRates: cfg.CBRRates,
+		Wires:    cfg.Wires,
+		Lease:    base.Lease,
+		Cells: runGrid(cfg.Workers, cfg.CBRRates, cfg.Wires, func(rate float64, wires int) ImpactResult {
 			c := cfg.Base
 			c.CBRRate = rate
-			c.Wires = w
-			jobs = append(jobs, func() ImpactResult { return RunImpact(c) })
-		}
+			c.Bus.Wires = wires
+			return RunImpact(c)
+		}),
 	}
-	flat := RunAll(cfg.Workers, jobs)
-	for i := range cfg.CBRRates {
-		t.Cells = append(t.Cells, flat[i*len(cfg.Wires):(i+1)*len(cfg.Wires)])
-	}
-	return t
 }
 
 // Format renders the grid in the shape of Table 4.

@@ -150,7 +150,7 @@ func RunPlan(cfg PlanConfig) Plan {
 func evaluate(req Requirements, rate float64, wires int, deadline sim.Duration, noFast bool) PlanOption {
 	cfg := DefaultImpactConfig()
 	cfg.Bus.BitRate = rate
-	cfg.Wires = wires
+	cfg.Bus.Wires = wires
 	cfg.CBRRate = req.CBRRate
 	cfg.PayloadBytes = req.PayloadBytes
 	cfg.Lease = req.Lease

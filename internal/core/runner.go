@@ -64,6 +64,23 @@ func RunAll[T any](workers int, jobs []func() T) []T {
 	return results
 }
 
+// runGrid runs cell once per (row, column) pair on RunAll's worker
+// pool and returns the results reshaped [row][column].
+func runGrid[R, C, T any](workers int, rows []R, cols []C, cell func(R, C) T) [][]T {
+	jobs := make([]func() T, 0, len(rows)*len(cols))
+	for _, r := range rows {
+		for _, c := range cols {
+			jobs = append(jobs, func() T { return cell(r, c) })
+		}
+	}
+	flat := RunAll(workers, jobs)
+	var grid [][]T
+	for i := range rows {
+		grid = append(grid, flat[i*len(cols):(i+1)*len(cols)])
+	}
+	return grid
+}
+
 // SeedFor derives the kernel seed for job index from a base seed via
 // a SplitMix64 step. The rule that keeps parallel runs reproducible:
 // a job's seed is a pure function of (base, index) — never of worker

@@ -53,21 +53,16 @@ func RunSweep(cfg SweepConfig) Sweep {
 	if len(cfg.Wires) == 0 {
 		cfg.Wires = DefaultSweepConfig().Wires
 	}
-	s := Sweep{Rates: cfg.Rates, Wires: cfg.Wires}
-	jobs := make([]func() ImpactResult, 0, len(cfg.Rates)*len(cfg.Wires))
-	for _, rate := range cfg.Rates {
-		for _, w := range cfg.Wires {
+	return Sweep{
+		Rates: cfg.Rates,
+		Wires: cfg.Wires,
+		Cells: runGrid(cfg.Workers, cfg.Rates, cfg.Wires, func(rate float64, wires int) ImpactResult {
 			c := cfg.Base
 			c.CBRRate = rate
-			c.Wires = w
-			jobs = append(jobs, func() ImpactResult { return RunImpact(c) })
-		}
+			c.Bus.Wires = wires
+			return RunImpact(c)
+		}),
 	}
-	flat := RunAll(cfg.Workers, jobs)
-	for i := range cfg.Rates {
-		s.Cells = append(s.Cells, flat[i*len(cfg.Wires):(i+1)*len(cfg.Wires)])
-	}
-	return s
 }
 
 // CSV renders the curve in the cmd/tpbench -sweep format: a header
