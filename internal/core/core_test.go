@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -69,6 +70,20 @@ func TestValidationDeterministic(t *testing.T) {
 	b := RunValidation(cfg)
 	if a.Rows[0].Simulated != b.Rows[0].Simulated {
 		t.Fatalf("nondeterministic validation: %v vs %v", a.Rows[0].Simulated, b.Rows[0].Simulated)
+	}
+}
+
+// TestValidationDefaultExactValues pins Table 3 at its default config:
+// the measured throughput bit for bit and the 100k-frame row's
+// simulated time, so a change to how the rows are run cannot move them.
+func TestValidationDefaultExactValues(t *testing.T) {
+	res := RunValidation(DefaultValidationConfig())
+	if bits := math.Float64bits(res.ThroughputBps); bits != 0x40836542732e0b8b {
+		t.Errorf("ThroughputBps = %v (%#x), want 620.6574462506554 (0x40836542732e0b8b)", res.ThroughputBps, bits)
+	}
+	last := res.Rows[len(res.Rows)-1]
+	if last.Frames != 100_000 || last.Simulated != 2_440_960_000 {
+		t.Errorf("last row %d frames in %d ns, want 100000 frames in 2440960000 ns", last.Frames, int64(last.Simulated))
 	}
 }
 

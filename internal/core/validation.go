@@ -62,6 +62,9 @@ type ValidationRow struct {
 	// Realtime holds the pacing statistics when the real-time
 	// scheduler was used.
 	Realtime sim.RealtimeStats
+	// bytes is the payload the receiver took in during the run, the
+	// numerator of ValidationResult.ThroughputBps.
+	bytes uint64
 }
 
 // ValidationResult is Table 3 plus the measured raw throughput.
@@ -97,7 +100,7 @@ func RunValidation(cfg ValidationConfig) ValidationResult {
 		// Each delivered payload byte costs one read and one write
 		// transaction (4 frames) plus protocol overhead; the measured
 		// number below is taken directly from the run instead.
-		res.ThroughputBps = float64(validationBytes(cfg, last.Frames)) / last.Simulated.Seconds()
+		res.ThroughputBps = float64(last.bytes) / last.Simulated.Seconds()
 	}
 	total := 0.0
 	for _, r := range res.Rows {
@@ -107,18 +110,11 @@ func RunValidation(cfg ValidationConfig) ValidationResult {
 	return res
 }
 
-// validationBytes counts the payload bytes delivered during a run of
-// the given frame budget (re-running the deterministic scenario).
-func validationBytes(cfg ValidationConfig, frames int) uint64 {
-	_, sink, _ := runScenario(cfg, frames)
-	return sink.Bytes
-}
-
 // runValidationOnce measures the elapsed time to push the given
 // number of frames across the Figure 6 topology and pairs it with the
 // analytic hardware stand-in.
 func runValidationOnce(cfg ValidationConfig, frames int) ValidationRow {
-	elapsed, _, rt := runScenario(cfg, frames)
+	elapsed, sink, rt := runScenario(cfg, frames)
 
 	// Hardware stand-in: the TpICU/SCM firmware runs the same frame
 	// schedule with its overhead factor.
@@ -136,6 +132,7 @@ func runValidationOnce(cfg ValidationConfig, frames int) ValidationRow {
 		Hardware:  hw,
 		Simulated: elapsed,
 		Realtime:  rt,
+		bytes:     sink.Bytes,
 	}
 	if elapsed > 0 {
 		row.Scaling = float64(hw) / float64(elapsed)

@@ -2,6 +2,7 @@ package cosim
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"tpspace/internal/sim"
@@ -211,6 +212,78 @@ func TestRingDoorbell(t *testing.T) {
 	if rings != 2 {
 		t.Fatalf("doorbell rang %d times", rings)
 	}
+}
+
+// TestRingMatchesReferenceFIFO drives a ring and a reference FIFO with
+// the same random pushes and pops. The ring must hand back the same
+// messages and refuse a push exactly when Cap-Len < 4+len(msg), the
+// byte where a ring allocated at full capacity refuses it, while its
+// buffer starts empty and grows on demand, including while the stored
+// bytes wrap around the end of the buffer.
+func TestRingMatchesReferenceFIFO(t *testing.T) {
+	wrappedGrows, refused := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 8 + rng.Intn(4096)
+		r := NewRing(capacity)
+		if len(r.buf) != 0 {
+			t.Fatalf("seed %d: a fresh ring holds a %d-byte buffer, want none", seed, len(r.buf))
+		}
+		var want [][]byte
+		stored := 0
+		for op := 0; op < 2000; op++ {
+			if rng.Intn(2) == 0 {
+				got, ok := r.Pop()
+				if len(want) == 0 {
+					if ok {
+						t.Fatalf("seed %d op %d: pop on empty ring gave %d bytes", seed, op, len(got))
+					}
+					continue
+				}
+				if !ok || !bytes.Equal(got, want[0]) {
+					t.Fatalf("seed %d op %d: pop gave %d bytes (ok=%v), want %d", seed, op, len(got), ok, len(want[0]))
+				}
+				want = want[1:]
+				stored -= 4 + len(got)
+			} else {
+				n := rng.Intn(capacity/8 + 1)
+				if rng.Intn(8) == 0 {
+					// Aim at the overflow point: a frame that just
+					// fits or one byte too many.
+					n = max(capacity-stored-4+rng.Intn(2), 0)
+				}
+				msg := make([]byte, n)
+				rng.Read(msg)
+				fits := capacity-stored >= 4+n
+				wrapped := r.head+r.size > len(r.buf)
+				bufLen := len(r.buf)
+				if got := r.Push(msg); got != fits {
+					t.Fatalf("seed %d op %d: Push(%d bytes) = %v with %d of %d stored, want %v",
+						seed, op, n, got, stored, capacity, fits)
+				}
+				if !fits {
+					refused++
+					continue
+				}
+				if wrapped && len(r.buf) != bufLen {
+					wrappedGrows++
+				}
+				want = append(want, msg)
+				stored += 4 + n
+			}
+			if r.Len() != stored || r.Free() != capacity-stored || r.Cap() != capacity {
+				t.Fatalf("seed %d op %d: Len/Free/Cap = %d/%d/%d, want %d/%d/%d",
+					seed, op, r.Len(), r.Free(), r.Cap(), stored, capacity-stored, capacity)
+			}
+			if len(r.buf) > capacity {
+				t.Fatalf("seed %d op %d: buffer grew to %d past capacity %d", seed, op, len(r.buf), capacity)
+			}
+		}
+	}
+	if wrappedGrows == 0 || refused == 0 {
+		t.Fatalf("property run missed a case: %d growths while wrapped, %d refused pushes", wrappedGrows, refused)
+	}
+	t.Logf("%d growths while wrapped, %d refused pushes", wrappedGrows, refused)
 }
 
 func TestRSPEncodeDecode(t *testing.T) {

@@ -7,52 +7,73 @@ import "fmt"
 // SystemC SC1/SC2 processes with the NS-2 bus model in Figure 5. It
 // carries length-framed messages so whole packets cross the domain
 // boundary atomically.
+//
+// The capacity is fixed at NewRing, but the backing buffer starts empty
+// and doubles on demand up to it, so a ring sized for the worst case
+// costs only what its traffic actually buffers.
 type Ring struct {
 	buf        []byte
+	capacity   int
 	head, tail int // head = read position, tail = write position
 	size       int // bytes currently stored
 	onData     func()
 }
 
-// NewRing allocates a ring of the given capacity in bytes.
+// NewRing returns a ring of the given capacity in bytes. It allocates
+// no buffer until the first Push.
 func NewRing(capacity int) *Ring {
 	if capacity < 8 {
 		capacity = 8
 	}
-	return &Ring{buf: make([]byte, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Cap returns the ring capacity in bytes.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.capacity }
 
 // Len returns the bytes currently buffered.
 func (r *Ring) Len() int { return r.size }
 
 // Free returns the bytes available for writing.
-func (r *Ring) Free() int { return len(r.buf) - r.size }
+func (r *Ring) Free() int { return r.capacity - r.size }
 
 // SetOnData installs a callback fired after every successful Push —
 // the "doorbell" the consuming domain polls or wires to an event.
 func (r *Ring) SetOnData(fn func()) { r.onData = fn }
 
-// push appends raw bytes; caller checked capacity.
-func (r *Ring) push(p []byte) {
-	for _, b := range p {
-		r.buf[r.tail] = b
-		r.tail = (r.tail + 1) % len(r.buf)
+// grow replaces the buffer with one of at least n bytes, doubling up to
+// the capacity, and moves the stored bytes to its start so a wrapped
+// ring comes out linear.
+func (r *Ring) grow(n int) {
+	c := max(2*len(r.buf), 64)
+	for c < n {
+		c *= 2
 	}
+	buf := make([]byte, min(c, r.capacity))
+	r.peek(buf[:r.size])
+	r.buf, r.head, r.tail = buf, 0, r.size
+}
+
+// push appends raw bytes; caller checked there is room in buf.
+func (r *Ring) push(p []byte) {
+	n := copy(r.buf[r.tail:], p)
+	copy(r.buf, p[n:])
+	r.tail = (r.tail + len(p)) % len(r.buf)
 	r.size += len(p)
 }
 
-// pop removes n raw bytes; caller checked availability.
-func (r *Ring) pop(n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[r.head]
-		r.head = (r.head + 1) % len(r.buf)
-	}
+// peek copies the len(dst) bytes at the read position into dst without
+// consuming them; caller checked availability.
+func (r *Ring) peek(dst []byte) {
+	n := copy(dst, r.buf[r.head:])
+	copy(dst[n:], r.buf)
+}
+
+// discard drops n bytes at the read position; caller checked
+// availability.
+func (r *Ring) discard(n int) {
+	r.head = (r.head + n) % len(r.buf)
 	r.size -= n
-	return out
 }
 
 // Push writes one length-framed message; it reports false (without
@@ -61,6 +82,9 @@ func (r *Ring) Push(msg []byte) bool {
 	need := 4 + len(msg)
 	if r.Free() < need {
 		return false
+	}
+	if len(r.buf)-r.size < need {
+		r.grow(r.size + need)
 	}
 	var hdr [4]byte
 	hdr[0] = byte(len(msg) >> 24)
@@ -82,17 +106,17 @@ func (r *Ring) Pop() ([]byte, bool) {
 		return nil, false
 	}
 	// Peek the header without consuming.
-	h := r.head
-	n := 0
-	for i := 0; i < 4; i++ {
-		n = n<<8 | int(r.buf[h])
-		h = (h + 1) % len(r.buf)
-	}
+	var hdr [4]byte
+	r.peek(hdr[:])
+	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
 	if n < 0 || r.size < 4+n {
 		return nil, false
 	}
-	r.pop(4)
-	return r.pop(n), true
+	r.discard(4)
+	msg := make([]byte, n)
+	r.peek(msg)
+	r.discard(n)
+	return msg, true
 }
 
 // MustPush panics when the ring overflows; used where scenario sizing

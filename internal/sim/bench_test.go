@@ -53,8 +53,8 @@ func BenchmarkKernelChurn(b *testing.B) {
 }
 
 // BenchmarkProcessBlock is one Block/wake cycle of a process, with a
-// timeout armed and cancelled: two fired events and two goroutine
-// hand-offs. It must report 0 allocs/op: the process re-arms its one
+// timeout armed and cancelled: two fired events and two coroutine
+// switches. It must report 0 allocs/op: the process re-arms its one
 // blocker and schedules callbacks bound at Spawn.
 func BenchmarkProcessBlock(b *testing.B) {
 	k := NewKernel(1)

@@ -1,22 +1,27 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Process is a sequential coroutine running inside the simulation, in
 // the style of an NS-2 application object or a SystemC SC_THREAD. A
-// process runs on its own goroutine but control is handed back and
-// forth with the kernel in strict alternation, so the simulation stays
-// single-threaded in effect and fully deterministic.
+// process is an iter.Pull coroutine: the kernel switches into it
+// directly and it switches straight back when it waits or finishes,
+// with no channel operation or scheduler wake-up in between. Control
+// strictly alternates, so the simulation stays single-threaded and
+// fully deterministic.
 //
 // The body receives the Process and uses Wait / WaitUntil / Block to
 // advance simulated time. When the body returns, the process ends.
 type Process struct {
-	k      *Kernel
-	name   string
-	resume chan struct{} // kernel -> process
-	yield  chan struct{} // process -> kernel
-	done   bool
-	dead   bool
+	k     *Kernel
+	name  string
+	next  func() (struct{}, bool) // kernel -> process: resume the body
+	yield func(struct{}) bool     // process -> kernel: suspend the body
+	done  bool
+	dead  bool
 	// slot is the process's index in Kernel.procs while it is live.
 	slot int
 	// Everything the Wait/Block hot path hands to the kernel is built
@@ -51,8 +56,6 @@ func (k *Kernel) Spawn(name string, delay Duration, body func(p *Process)) *Proc
 	p := &Process{
 		k:            k,
 		name:         name,
-		resume:       make(chan struct{}),
-		yield:        make(chan struct{}),
 		slot:         len(k.procs),
 		wakeLabel:    "wake:" + name,
 		unblockLabel: "unblock:" + name,
@@ -64,29 +67,32 @@ func (k *Kernel) Spawn(name string, delay Duration, body func(p *Process)) *Proc
 	p.block.wait = p.waitBlocked
 	p.block.expire = p.expireBlocked
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Deferred so that a body panic, which next re-raises at the
+		// caller of activate, still leaves the process finished.
+		defer func() { p.done = true }()
 		if !p.dead {
 			runKilled(func() { body(p) })
 		}
-		p.done = true
-		p.yield <- struct{}{}
-	}()
+	})
 	k.ScheduleName("spawn:"+name, delay, p.activateFn)
 	return p
 }
 
-// activate transfers control to the process goroutine and blocks until
-// it yields back (by waiting or by finishing).
+// activate switches into the process and returns when it yields back
+// (by waiting or by finishing). A panic in the body, other than the
+// kill sentinel, surfaces here, on the goroutine running the kernel.
 func (p *Process) activate() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
-	if p.done {
-		p.k.forget(p)
-	}
+	defer func() {
+		if p.done {
+			p.k.forget(p)
+		}
+	}()
+	p.next()
 }
 
 // forget drops a finished process from the kernel's live list.
@@ -99,13 +105,13 @@ func (k *Kernel) forget(p *Process) {
 }
 
 // Shutdown unwinds every process that has not finished — parked in
-// Wait or Block, or not yet started — so its goroutine exits and
+// Wait or Block, or not yet started — so its coroutine finishes and
 // everything the body references becomes collectable. A runner that
 // owns a kernel calls it once the run is over; without it each parked
-// process pins its goroutine, and through it the whole simulation, for
-// the life of the program. It must be called from outside the run (not
-// from an event or a process body); the kernel must not be run again
-// afterwards.
+// process pins its suspended coroutine, and through it the whole
+// simulation, for the life of the program. It must be called from
+// outside the run (not from an event or a process body); the kernel
+// must not be run again afterwards.
 func (k *Kernel) Shutdown() {
 	for len(k.procs) > 0 {
 		p := k.procs[len(k.procs)-1]
@@ -136,13 +142,12 @@ func (p *Process) Wait(d Duration) {
 	p.park()
 }
 
-// park yields control to the kernel and blocks until reactivated.
+// park switches back to the kernel and returns when reactivated.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.dead {
-		// Unwind the body via panic; Spawn's goroutine recovers by
-		// letting the goroutine exit (the panic is confined).
+		// Unwind the body via panic; runKilled in Spawn's coroutine
+		// recovers it and the coroutine finishes.
 		panic(killSentinel{})
 	}
 }
@@ -158,8 +163,8 @@ func (p *Process) Kill() {
 		return
 	}
 	p.dead = true
-	// If the process is parked, activate it once so the goroutine can
-	// unwind and exit; the spawn wrapper swallows the sentinel panic.
+	// If the process is parked, activate it once so the coroutine can
+	// unwind and finish; the spawn wrapper swallows the sentinel panic.
 	p.k.ScheduleName(p.killLabel, 0, p.activateFn)
 }
 

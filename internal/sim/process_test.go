@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -262,5 +263,65 @@ func TestShutdownUnwindsEveryLiveProcess(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Shutdown, %d before the kernel existed", n, before)
+	}
+}
+
+// TestProcessPanicReachesRunCaller: a body that panics with anything
+// but the kill sentinel surfaces at the caller of RunUntil, where it
+// can be recovered, and the process counts as finished.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	k := NewKernel(1)
+	p := k.Spawn("faulty", 0, func(p *Process) {
+		p.Wait(Millisecond)
+		panic("model fault")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		k.RunUntil(Time(Second))
+		return nil
+	}()
+	if got != "model fault" {
+		t.Fatalf("RunUntil caller recovered %v, want the body's panic", got)
+	}
+	if !p.Done() {
+		t.Fatal("panicked process not done")
+	}
+	k.Shutdown() // nothing live is left to unwind
+}
+
+// TestProcessRunOnAnotherGoroutine: a kernel built and spawned on one
+// goroutine and run on another gives the same result as running it
+// where it was built.
+func TestProcessRunOnAnotherGoroutine(t *testing.T) {
+	build := func() (*Kernel, *[]Time) {
+		k := NewKernel(1)
+		marks := new([]Time)
+		var wake func()
+		k.Spawn("ticker", 0, func(p *Process) {
+			for i := 0; i < 4; i++ {
+				*marks = append(*marks, p.Now())
+				p.Wait(3 * Millisecond)
+			}
+		})
+		k.Spawn("blocker", 0, func(p *Process) {
+			var wait func() bool
+			wake, wait = p.Block(Forever)
+			wait()
+			*marks = append(*marks, p.Now())
+		})
+		k.Schedule(5*Millisecond, func() { wake() })
+		return k, marks
+	}
+	k, here := build()
+	k.Run()
+	k, there := build()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run()
+	}()
+	<-done
+	if len(*here) != 5 || !slices.Equal(*here, *there) {
+		t.Fatalf("marks here %v, on another goroutine %v", *here, *there)
 	}
 }
