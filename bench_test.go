@@ -498,19 +498,6 @@ func BenchmarkAblationIntPolling(b *testing.B) {
 	b.ReportMetric(float64(lean), "intdriven-frames/s")
 }
 
-// BenchmarkCrossValidation reports the timing agreement between the
-// packet-level (NS-2-style) and frame-accurate TpWIRE models — the
-// paper's validation step with simulation on both sides.
-func BenchmarkCrossValidation(b *testing.B) {
-	var pkt, frm sim.Duration
-	for i := 0; i < b.N; i++ {
-		pkt, frm = core.CrossValidate(tpwire.Config{BitRate: 1_000_000}, 1, 1000)
-	}
-	b.ReportMetric(pkt.Seconds(), "packet-model-s")
-	b.ReportMetric(frm.Seconds(), "frame-model-s")
-	b.ReportMetric(float64(pkt)/float64(frm), "agreement")
-}
-
 // BenchmarkSpaceTypedLookup shows the type index at work: takes
 // against one type among many are independent of the other types'
 // population.

@@ -60,7 +60,6 @@ import (
 	"tpspace/internal/core"
 	"tpspace/internal/frame"
 	"tpspace/internal/sim"
-	"tpspace/internal/tpwire"
 )
 
 // writeProfile dumps one named runtime profile on exit (deferred, so
@@ -82,7 +81,6 @@ func main() {
 	fig := flag.Int("fig", 0, "regenerate one figure scenario: 6 or 7")
 	realtime := flag.Bool("realtime", false, "pace validation against the wall clock (Table 3)")
 	speedup := flag.Float64("speedup", 100, "real-time speedup factor")
-	cross := flag.Bool("crossvalidate", false, "cross-validate the packet-level and frame-accurate bus models")
 	sweep := flag.Bool("sweep", false, "sweep CBR load and print the completion-time curve (CSV)")
 	compare := flag.Bool("compare", false, "compare Ethernet/TCP and TpWIRE substrates (Section 4.3)")
 	plan := flag.Bool("plan", false, "search the design space for the cheapest bus meeting the Table 4 requirements")
@@ -290,10 +288,6 @@ func main() {
 		return
 	}
 
-	if *cross {
-		printCrossValidation()
-		return
-	}
 	if *sweep {
 		printSweep(workers)
 		return
@@ -310,8 +304,6 @@ func main() {
 		printTable3(*realtime, *speedup, workers)
 		fmt.Println()
 		printTable4(workers)
-		fmt.Println()
-		printCrossValidation()
 	case *table == "frames":
 		printFrames()
 	case *table == "3":
@@ -378,15 +370,6 @@ func printSweep(workers int) {
 	cfg := core.DefaultSweepConfig()
 	cfg.Workers = workers
 	fmt.Print(core.RunSweep(cfg).CSV())
-}
-
-func printCrossValidation() {
-	fmt.Println("Model cross-validation (packet-level NS-2 agent vs frame-accurate chain)")
-	for _, wires := range []int{1, 2} {
-		pkt, frm := core.CrossValidate(tpwire.Config{BitRate: 1_000_000, Wires: wires}, 1, 1000)
-		fmt.Printf("  %d-wire, 1000 transactions: packet-level %v, frame-accurate %v (agreement %.6f)\n",
-			wires, pkt, frm, float64(pkt)/float64(frm))
-	}
 }
 
 func printFig7() {

@@ -1,3 +1,10 @@
+// Package cosim provides the co-simulation glue of Figure 5 of the
+// paper: a Bridge that puts the gdb/shared-memory hop between the
+// board client and the bus model on the timeline as a calibrated
+// per-message plus per-byte latency, the shared-memory ring in the role
+// of the UNIX shm segments connecting the SystemC nodes (SC1/SC2) with
+// the NS-2 bus model, and a minimal GDB remote serial protocol stub in
+// the role of the board-client debug interface.
 package cosim
 
 import (

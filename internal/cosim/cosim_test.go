@@ -9,148 +9,6 @@ import (
 	"tpspace/internal/transport"
 )
 
-func TestSignalDeltaSemantics(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	sig := NewSignal(sch, "s", 0)
-	var sameInstant, afterDelta int
-	k.Schedule(sim.Second, func() {
-		sig.Write(7)
-		sameInstant = sig.Read() // must still see the old value
-	})
-	k.Schedule(2*sim.Second, func() { afterDelta = sig.Read() })
-	k.Run()
-	if sameInstant != 0 {
-		t.Fatalf("write visible in the same evaluation: %d", sameInstant)
-	}
-	if afterDelta != 7 {
-		t.Fatalf("write lost after delta: %d", afterDelta)
-	}
-}
-
-func TestSignalLastWriteWins(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	sig := NewSignal(sch, "s", 0)
-	k.Schedule(0, func() {
-		sig.Write(1)
-		sig.Write(2)
-		sig.Write(3)
-	})
-	k.Run()
-	if sig.Read() != 3 {
-		t.Fatalf("value = %d, want 3", sig.Read())
-	}
-}
-
-func TestSignalOnChangeOnlyOnRealChange(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	sig := NewSignal(sch, "s", 5)
-	changes := 0
-	sig.OnChange(func() { changes++ })
-	k.Schedule(0, func() { sig.Write(5) }) // same value: no event
-	k.Schedule(sim.Second, func() { sig.Write(6) })
-	k.Schedule(2*sim.Second, func() { sig.Write(6) })
-	k.Run()
-	if changes != 1 {
-		t.Fatalf("OnChange fired %d times, want 1", changes)
-	}
-}
-
-func TestTwoModuleHandshake(t *testing.T) {
-	// req/ack handshake between two modules through signals, the
-	// canonical SystemC interop pattern.
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	req := NewSignal(sch, "req", false)
-	ack := NewSignal(sch, "ack", false)
-	transfers := 0
-	req.OnChange(func() {
-		if req.Read() {
-			ack.Write(true)
-		} else {
-			ack.Write(false)
-		}
-	})
-	ack.OnChange(func() {
-		if ack.Read() {
-			transfers++
-			req.Write(false)
-		} else if transfers < 5 {
-			req.Write(true)
-		}
-	})
-	k.Schedule(0, func() { req.Write(true) })
-	k.RunUntil(sim.Time(sim.Second))
-	if transfers != 5 {
-		t.Fatalf("transfers = %d, want 5", transfers)
-	}
-}
-
-func TestClockGen(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	clk := NewClockGen(sch, "clk", 2*sim.Millisecond)
-	edges := 0
-	clk.Sig.OnChange(func() { edges++ })
-	k.RunUntil(sim.Time(10 * sim.Millisecond))
-	clk.Stop()
-	// 10 ms / 1 ms half-period = 10 toggles.
-	if edges != 10 {
-		t.Fatalf("edges = %d, want 10", edges)
-	}
-}
-
-func TestFifoProducerConsumer(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	f := NewFifo[int](sch, "f", 2)
-	var got []int
-	k.Spawn("producer", 0, func(p *sim.Process) {
-		for i := 0; i < 10; i++ {
-			f.Put(p, i) // blocks when the 2-deep FIFO fills
-		}
-	})
-	k.Spawn("consumer", 0, func(p *sim.Process) {
-		for i := 0; i < 10; i++ {
-			got = append(got, f.Get(p))
-			p.Wait(sim.Millisecond) // slow consumer exercises backpressure
-		}
-	})
-	k.Run()
-	if len(got) != 10 {
-		t.Fatalf("consumed %d items", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken: %v", got)
-		}
-	}
-}
-
-func TestFifoTryOps(t *testing.T) {
-	k := sim.NewKernel(1)
-	sch := NewScheduler(k)
-	f := NewFifo[string](sch, "f", 1)
-	if !f.TryPut("a") {
-		t.Fatal("TryPut on empty failed")
-	}
-	if f.TryPut("b") {
-		t.Fatal("TryPut on full succeeded")
-	}
-	v, ok := f.TryGet()
-	if !ok || v != "a" {
-		t.Fatalf("TryGet = %q %v", v, ok)
-	}
-	if _, ok := f.TryGet(); ok {
-		t.Fatal("TryGet on empty succeeded")
-	}
-	if f.Len() != 0 {
-		t.Fatal("Len wrong")
-	}
-}
-
 func TestRingFraming(t *testing.T) {
 	r := NewRing(64)
 	if !r.Push([]byte("alpha")) || !r.Push([]byte("beta")) {

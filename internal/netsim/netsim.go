@@ -179,19 +179,11 @@ func (n *Network) SetRoute(at *Node, dst *Node, via *Link) {
 // Send injects a packet at its source node; it is forwarded hop by
 // hop along static routes until it reaches the destination agent.
 func (n *Network) Send(p *Packet) {
-	n.SendAt(p, n.kernel.Now())
-}
-
-// SendAt is Send with an explicit send timestamp. Batched traffic
-// sources inject several packets from one kernel event and forward-
-// date each packet's SentAt to the tick it replaces, so sink latency
-// accounting is unchanged by the aggregation.
-func (n *Network) SendAt(p *Packet, sentAt sim.Time) {
 	if p.ID == 0 {
 		n.nextID++
 		p.ID = n.nextID
 	}
-	p.SentAt = sentAt
+	p.SentAt = n.kernel.Now()
 	n.forward(p.Src, p)
 }
 

@@ -25,15 +25,6 @@ type CBRSource struct {
 	Rate float64
 	// Size is the packet size in bytes.
 	Size int
-	// Batch, when > 1, coalesces up to Batch consecutive ticks into a
-	// single kernel event whenever the wire-level outcome is provably
-	// identical (see burstSize). High-rate sources saturating their
-	// first-hop link spend most kernel events on ticker wakeups; a
-	// burst of k packets injected from one event, each forward-dated
-	// to the tick it replaces, cuts those events by k while keeping
-	// queueing, latency and drop behaviour bit-identical. Off (0 or 1)
-	// by default: per-tick emission.
-	Batch int
 
 	sent   uint64
 	stopFn func()
@@ -55,83 +46,10 @@ func (c *CBRSource) Start() {
 	if interval <= 0 {
 		interval = 1
 	}
-	if c.Batch > 1 {
-		c.startBatched(size, interval)
-		return
-	}
 	c.stopFn = c.Net.Kernel().Ticker("netsim.cbr", interval, func() {
 		c.sent++
 		c.Net.Send(&Packet{Flow: c.Flow, Src: c.Src, Dst: c.Dst, Size: size})
 	})
-}
-
-// startBatched runs the ticker loop with per-burst aggregation: each
-// event emits burstSize() packets — the first at the event's own
-// instant, the rest forward-dated to the ticks they replace — and
-// reschedules itself that many intervals later. The eligibility guard
-// re-evaluates at every event, so the source degrades to per-tick
-// emission (burst of 1) the moment any interruption rule trips, and
-// resumes bursting when conditions clear.
-func (c *CBRSource) startBatched(size int, interval sim.Duration) {
-	k := c.Net.Kernel()
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		n := c.burstSize(size, interval)
-		base := k.Now()
-		for i := 0; i < n; i++ {
-			c.sent++
-			c.Net.SendAt(
-				&Packet{Flow: c.Flow, Src: c.Src, Dst: c.Dst, Size: size},
-				base.Add(sim.Duration(i)*interval))
-		}
-		k.ScheduleName("netsim.cbr", sim.Duration(n)*interval, tick)
-	}
-	k.ScheduleName("netsim.cbr", interval, tick)
-	c.stopFn = func() { stopped = true }
-}
-
-// burstSize decides how many ticks the next event may stand in for.
-// A burst of Batch packets injected at once is wire-identical to
-// Batch separate ticks exactly when:
-//
-//   - the first-hop link's serialization time is at least the tick
-//     interval (saturation): every later packet of the burst would
-//     find the wire busy at its own tick anyway, so enqueueing it
-//     early changes nothing about when it is served;
-//   - the whole burst fits in the drop-tail queue: early enqueueing
-//     raises peak occupancy, so drops could otherwise differ;
-//   - no fault profile is armed on the first hop: impairment draws at
-//     transmit time are identical either way, but staying per-tick
-//     inside fault windows keeps the interruption rule simple and
-//     auditable;
-//   - neither the network nor the kernel is tracing (fewer ticker
-//     events would change trace output);
-//   - there is a first hop at all (a source delivering directly to
-//     its own node has nothing to saturate).
-//
-// Any failed condition returns 1, i.e. plain per-tick behaviour.
-func (c *CBRSource) burstSize(size int, interval sim.Duration) int {
-	l, ok := c.Src.routes[c.Dst.id]
-	if !ok || c.Src == c.Dst {
-		return 1
-	}
-	if c.Net.tracer != nil || !c.Net.Kernel().CoalesceAllowed() {
-		return 1
-	}
-	if l.fault != (FaultProfile{}) {
-		return 1
-	}
-	if l.txTime(size) < interval {
-		return 1
-	}
-	if len(l.queue)+c.Batch > l.queueCap {
-		return 1
-	}
-	return c.Batch
 }
 
 // Stop implements Generator.

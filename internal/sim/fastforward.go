@@ -1,14 +1,12 @@
 package sim
 
-import "fmt"
-
-// Bulk-advance API: the burst-mode fast path books many identical
-// back-to-back occupancies as a single event (ScheduleBatch /
-// Coalescer) and skips provably event-free stretches of simulated time
-// (FastForward). Both operations rewrite event bookkeeping only — the
-// modelled timeline a caller can observe through Now, event timestamps
-// and model statistics is unchanged, which is what keeps fast-path and
-// per-event runs byte-identical.
+// Bulk-advance API: the burst-mode fast path skips provably event-free
+// stretches of simulated time (FastForward), bounded by the next
+// pending event (NextEventAt) and the current run's horizon (Horizon).
+// Skipping rewrites event bookkeeping only — the modelled timeline a
+// caller can observe through Now, event timestamps and model
+// statistics is unchanged, which is what keeps fast-path and per-event
+// runs byte-identical.
 
 // foreverTime is the horizon of an unbounded run.
 const foreverTime = Time(Forever)
@@ -29,10 +27,9 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 // slow path would have stopped firing events there.
 func (k *Kernel) Horizon() Time { return k.horizon }
 
-// CoalesceAllowed reports whether event coalescing may be used at all
-// on this kernel. Tracing observes every fired event and real-time
-// pacing sleeps before each one, so either disables the fast path;
-// plain batch scheduling via ScheduleBatch is always allowed.
+// CoalesceAllowed reports whether a fast path may skip events on this
+// kernel at all. Tracing observes every fired event and real-time
+// pacing sleeps before each one, so either disables it.
 func (k *Kernel) CoalesceAllowed() bool { return k.trace == nil && !k.realtime }
 
 // FastForward advances the clock to t without firing anything. It is
@@ -50,66 +47,4 @@ func (k *Kernel) FastForward(t Time) bool {
 	}
 	k.now = t
 	return true
-}
-
-// ScheduleBatch books n identical back-to-back occupancies of duration
-// each as one event: fn(n) runs once at Now + n*each, the closed-form
-// end time of the burst. The caller accounts for the n-1 interior
-// completions itself (they are pure bookkeeping by construction —
-// that is what made the occupancies coalescible).
-func (k *Kernel) ScheduleBatch(label string, n int, each Duration, fn func(n int)) *Event {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: batch of %d occupancies", n))
-	}
-	if each < 0 {
-		panic(fmt.Sprintf("sim: negative occupancy %v", each))
-	}
-	return k.ScheduleName(label, Duration(n)*each, func() { fn(n) })
-}
-
-// Coalescer accumulates identical occupancies and books them as one
-// batch event on Flush. It is a convenience wrapper for producers that
-// decide the burst length incrementally (a CBR source aggregating k
-// packets, a master queueing k exchanges) rather than in one call.
-type Coalescer struct {
-	k     *Kernel
-	label string
-	each  Duration
-	n     int
-}
-
-// NewCoalescer returns a Coalescer booking occupancies of duration
-// each under the given debug label.
-func (k *Kernel) NewCoalescer(label string, each Duration) *Coalescer {
-	if each < 0 {
-		panic(fmt.Sprintf("sim: negative occupancy %v", each))
-	}
-	return &Coalescer{k: k, label: label, each: each}
-}
-
-// Add appends n occupancies to the pending burst.
-func (c *Coalescer) Add(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: adding %d occupancies", n))
-	}
-	c.n += n
-}
-
-// Pending reports the occupancies accumulated since the last Flush.
-func (c *Coalescer) Pending() int { return c.n }
-
-// End reports the closed-form end time of the pending burst if it
-// were flushed now.
-func (c *Coalescer) End() Time { return c.k.now.Add(Duration(c.n) * c.each) }
-
-// Flush books the accumulated occupancies as one batch event and
-// resets the count. Flushing an empty coalescer is a no-op returning
-// nil.
-func (c *Coalescer) Flush(fn func(n int)) *Event {
-	if c.n == 0 {
-		return nil
-	}
-	n := c.n
-	c.n = 0
-	return c.k.ScheduleBatch(c.label, n, c.each, fn)
 }

@@ -82,72 +82,3 @@ func TestCoalesceAllowedGates(t *testing.T) {
 		t.Fatal("coalescing should be re-allowed after RunRealtime returns")
 	}
 }
-
-func TestScheduleBatchClosedFormEnd(t *testing.T) {
-	k := NewKernel(1)
-	var got int
-	var at Time
-	k.ScheduleBatch("batch", 7, 3*Millisecond, func(n int) { got, at = n, k.Now() })
-	k.Run()
-	if got != 7 {
-		t.Fatalf("fn(n) got n=%d, want 7", got)
-	}
-	if at != Time(21*Millisecond) {
-		t.Fatalf("batch ended at %v, want 21ms", at)
-	}
-	if k.Fired() != 1 {
-		t.Fatalf("batch cost %d events, want 1", k.Fired())
-	}
-}
-
-func TestCoalescerFlush(t *testing.T) {
-	k := NewKernel(1)
-	c := k.NewCoalescer("cbr.batch", 2*Millisecond)
-	if c.Flush(func(int) {}) != nil {
-		t.Fatal("empty flush should be a no-op")
-	}
-	c.Add(3)
-	c.Add(2)
-	if c.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", c.Pending())
-	}
-	if c.End() != Time(10*Millisecond) {
-		t.Fatalf("end = %v, want 10ms", c.End())
-	}
-	var got int
-	c.Flush(func(n int) { got = n })
-	if c.Pending() != 0 {
-		t.Fatalf("pending after flush = %d", c.Pending())
-	}
-	k.Run()
-	if got != 5 || k.Now() != Time(10*Millisecond) {
-		t.Fatalf("flush fired n=%d at %v, want 5 at 10ms", got, k.Now())
-	}
-}
-
-func TestBatchEquivalentToPerEventTimeline(t *testing.T) {
-	// A batch of n occupancies must complete at exactly the time n
-	// chained per-event occupancies complete.
-	const n, each = 64, 37 * Microsecond
-	slow := NewKernel(1)
-	var slowEnd Time
-	var step func(left int)
-	step = func(left int) {
-		if left == 0 {
-			slowEnd = slow.Now()
-			return
-		}
-		slow.Schedule(each, func() { step(left - 1) })
-	}
-	step(n)
-	slow.Run()
-
-	fast := NewKernel(1)
-	var fastEnd Time
-	fast.ScheduleBatch("batch", n, each, func(int) { fastEnd = fast.Now() })
-	fast.Run()
-
-	if slowEnd != fastEnd {
-		t.Fatalf("per-event end %v != batch end %v", slowEnd, fastEnd)
-	}
-}

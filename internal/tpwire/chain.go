@@ -210,17 +210,6 @@ func (c *Chain) Topology() string {
 	return s
 }
 
-// selectedSlave returns the currently selected slave, or nil (also nil
-// under broadcast selection).
-func (c *Chain) selectedSlave() *Slave {
-	for _, s := range c.slaves {
-		if s.selected {
-			return s
-		}
-	}
-	return nil
-}
-
 // broadcastSelected reports whether the last SELECT addressed the
 // broadcast node, i.e. whether more than one slave is selected.
 func (c *Chain) broadcastSelected() bool {

@@ -167,20 +167,6 @@ func (d *binDedup) complete(id uint64, resp []byte) {
 	}
 }
 
-// abort drops an in-flight registration without caching (malformed
-// requests discovered after begin); parked duplicates are dropped too
-// — a retransmit will re-run the same error path.
-func (d *binDedup) abort(id uint64) {
-	d.mu.Lock()
-	if w, ok := d.inflight[id]; ok {
-		delete(d.inflight, id)
-		w.waiters = nil
-		w.next = d.free
-		d.free = w
-	}
-	d.mu.Unlock()
-}
-
 // deliverBin hands a finished response frame to its destination — the
 // client connection, or a batch slot (which takes ownership) — and
 // releases it. Used for replies that are NOT entering the dedup cache

@@ -28,7 +28,9 @@
 #   smoke (-leasebench: the books must balance and the wheel row must
 #   report 0 allocs/op), a durable-notify
 #   resume smoke (-notifybench, exactly-once across a mid-run
-#   reconnect), and a byte-identity diff of every paper CLI output
+#   reconnect), a dead-code gate (scripts/deadcode.sh: no internal/
+#   function may newly drop out of every binary against the committed
+#   scripts/unreached.txt), and a byte-identity diff of every paper CLI output
 #   (-table 4, -sweep, -fig 7, -chaos, -plan) against the committed
 #   goldens in internal/core/testdata/golden_cli/.
 # Usage: scripts/check.sh   (or: make check)
@@ -67,6 +69,18 @@ go test -run '^$' -fuzz '^FuzzRSPStubHandle$' -fuzztime "$FUZZTIME" ./internal/c
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/tpbench" ./cmd/tpbench
+
+echo "==> dead-code gate (no function newly unreached from every binary)"
+# scripts/unreached.txt lists the internal/ functions no main links;
+# a function that joins that set fails the gate, one that leaves it
+# never does.
+sh scripts/deadcode.sh > "$tmp/unreached.txt"
+added=$(LC_ALL=C comm -13 scripts/unreached.txt "$tmp/unreached.txt")
+if [ -n "$added" ]; then
+    echo "functions linked into no binary (call them from a binary or delete them):" >&2
+    echo "$added" >&2
+    exit 1
+fi
 
 echo "==> kernel bench regression smoke (schedule/churn and a process Block/wake cycle must not allocate)"
 go test -run '^$' -bench '^Benchmark(Kernel(Schedule|Churn)|ProcessBlock)$' -benchmem \
