@@ -292,9 +292,12 @@ func RunNotifyBench(cfg NotifyBenchConfig) NotifyBenchResult {
 	}
 	// Kill the victim's connection mid-run, write through the outage
 	// (its events accumulate in the hub's replay ring), then resume on
-	// a brand-new connection from the applied-sequence cursor.
-	cursor := victimCli.NotifyLastSeq(victimSess)
+	// a brand-new connection from the applied-sequence cursor. The
+	// cursor is read after Close: a flush worker may still be applying
+	// a batch until Close returns, and a cursor read earlier would have
+	// the resume replay that batch a second time.
 	_ = victimCli.Close()
+	cursor := victimCli.NotifyLastSeq(victimSess)
 	outage := half + (cfg.Writes-half)/2
 	for n := half; n < outage; n++ {
 		write(n)

@@ -592,7 +592,8 @@ func newWorkloadStack(cfg WorkloadConfig, participants int) wlStack {
 	}
 
 	// pipe / tcp: the full Figure 4 stack with the binary codec and
-	// shard-affinity gateway dispatch, one connection per participant.
+	// shard-affinity gateway dispatch (on tcp; the pipe serves inline),
+	// one connection per participant.
 	gwOpts := []wrapper.GatewayOption{wrapper.WithWorkers(4)}
 	cliOpts := []wrapper.ClientOption{wrapper.WithBinaryCodec()}
 	hub := wrapper.NewNotifyHub()

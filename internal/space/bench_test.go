@@ -523,3 +523,51 @@ func TestTakeHitFastPathZeroAlloc(t *testing.T) {
 		t.Fatalf("take-hit fast path allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestWatchedPutAllocs bounds the write fan-out: a Put that eight
+// notify watchers observe and that wakes one parked take (with a
+// timeout armed) shares one tuple copy among the watchers and runs
+// them from one callback, so the whole park-then-wake cycle stays
+// within 20 allocations; a Put nobody watches, taken straight back,
+// costs the two its tuple storage needs.
+func TestWatchedPutAllocs(t *testing.T) {
+	s := New(NewRealRuntime(), WithShards(4))
+	var seen int
+	for i := 0; i < 8; i++ {
+		s.Notify(anyJob(), func(tuple.Tuple) { seen++ })
+	}
+	e, tmpl := job("fft", 1), anyJob()
+	var woke int
+	wake := func(_ tuple.Tuple, ok bool) {
+		if ok {
+			woke++
+		}
+	}
+	watched := testing.AllocsPerRun(200, func() {
+		s.Take(tmpl, 20*sim.Second, wake)
+		if err := s.Put(e, NoLease); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if woke != seen/8 || woke == 0 {
+		t.Fatalf("woke %d takes, watchers saw %d writes", woke, seen/8)
+	}
+	if watched > 20 {
+		t.Fatalf("watched Put + parked take allocates %.1f/op, want <= 20", watched)
+	}
+
+	u := New(NewRealRuntime(), WithShards(4))
+	plain := job("plain", 7)
+	unwatched := testing.AllocsPerRun(200, func() {
+		if err := u.Put(plain, NoLease); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := u.TakeIfExists(plain); !ok {
+			t.Fatal("miss")
+		}
+	})
+	t.Logf("allocs/op: watched Put + parked take %.0f, unwatched Put + TakeIfExists %.0f", watched, unwatched)
+	if unwatched > 2 {
+		t.Fatalf("unwatched Put + TakeIfExists allocates %.1f/op, want <= 2", unwatched)
+	}
+}

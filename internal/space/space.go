@@ -1,7 +1,9 @@
 package space
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -469,8 +471,11 @@ func (s *Space) Put(t tuple.Tuple, lease sim.Duration) error {
 // must run after releasing the shard lock.
 func (sh *shard) probeSubs(e *entry, withNotify bool) (consumed bool, fire []func()) {
 	stored := e.t
-	var notifies, woken []*sub
-	var takers []*subNode
+	// The match lists start in stack arrays: a write that finds no
+	// subscriber, or a handful, allocates nothing for them.
+	var nBuf, wBuf [8]*sub
+	var tBuf [8]*subNode
+	notifies, woken, takers := nBuf[:0], wBuf[:0], tBuf[:0]
 	scan := func(l *subList) {
 		if l == nil {
 			return
@@ -502,13 +507,7 @@ func (sh *shard) probeSubs(e *entry, withNotify bool) (consumed bool, fire []fun
 	scan(sh.subKind[e.kk])
 	scan(sh.subShape[e.sk])
 
-	// The sorts below guard on length: sort.Slice builds a reflection
-	// swapper before it looks at the data, a measurable per-write cost
-	// on the serving plane where all three slices are almost always
-	// empty or single.
-	if len(takers) > 1 {
-		sort.Slice(takers, func(i, j int) bool { return takers[i].s.seq < takers[j].s.seq })
-	}
+	slices.SortFunc(takers, func(a, b *subNode) int { return cmp.Compare(a.s.seq, b.s.seq) })
 	for _, node := range takers {
 		if node.s.done.CompareAndSwap(false, true) {
 			sh.dropSub(node)
@@ -521,18 +520,30 @@ func (sh *shard) probeSubs(e *entry, withNotify bool) (consumed bool, fire []fun
 
 	// Fire notifies first, then satisfied waiters, each in
 	// registration order — the legacy single-list fan-out order.
-	if len(notifies) > 1 {
-		sort.Slice(notifies, func(i, j int) bool { return notifies[i].seq < notifies[j].seq })
+	n := len(woken)
+	if len(notifies) > 0 {
+		n++
 	}
-	for _, n := range notifies {
-		n := n
+	if n == 0 {
+		return consumed, nil
+	}
+	fire = make([]func(), 0, n)
+	if len(notifies) > 0 {
+		// Every watcher of this write reads one shared copy (the
+		// Space.Notify contract forbids modifying it), run from one
+		// callback. The closure captures a heap copy of the list, not
+		// notifies itself, so the stack array stays on the stack.
+		slices.SortFunc(notifies, bySeq)
+		subs := slices.Clone(notifies)
 		cp := stored.Clone()
-		sh.stats.Notifies++
-		fire = append(fire, func() { n.fn(cp) })
+		sh.stats.Notifies += uint64(len(subs))
+		fire = append(fire, func() {
+			for _, sb := range subs {
+				sb.fn(cp)
+			}
+		})
 	}
-	if len(woken) > 1 {
-		sort.Slice(woken, func(i, j int) bool { return woken[i].seq < woken[j].seq })
-	}
+	slices.SortFunc(woken, bySeq)
 	for _, w := range woken {
 		if w.cancelTimer != nil {
 			w.cancelTimer()
@@ -546,6 +557,9 @@ func (sh *shard) probeSubs(e *entry, withNotify bool) (consumed bool, fire []fun
 	}
 	return consumed, fire
 }
+
+// bySeq orders subscriptions by registration.
+func bySeq(a, b *sub) int { return cmp.Compare(a.seq, b.seq) }
 
 // store runs the write machinery for a prepared entry (id assigned,
 // signatures computed, tuple already cloned) under the shard lock:
@@ -643,7 +657,7 @@ func (s *Space) Crash() {
 	}
 	s.unlockAll()
 
-	sort.Slice(woken, func(i, j int) bool { return woken[i].seq < woken[j].seq })
+	slices.SortFunc(woken, bySeq)
 	for _, w := range woken {
 		w.cb(tuple.Tuple{}, ErrCrashed)
 	}
@@ -997,6 +1011,10 @@ func (s *Space) cancelSub(w *sub) bool {
 // tuple subsequently written that matches the template, implementing
 // the subscribe/notify paradigm. The returned cancel function ends
 // the subscription.
+//
+// fn receives a copy of the written tuple that is shared with every
+// other watcher of the same write: fn may read it, encode it or keep
+// it, but must not modify it (clone it first to change it).
 func (s *Space) Notify(tmpl tuple.Tuple, fn func(tuple.Tuple)) (cancel func()) {
 	class, key, home := s.classifyRoute(tmpl)
 	// Cloned for the same reason blockingOp clones on park: the

@@ -188,26 +188,36 @@ func TestMalformedBinaryFrameAnswersInBinary(t *testing.T) {
 
 // TestBatchFrameRoundTrip drives a multi-op batch request through the
 // gateway and checks the batched response carries every member's
-// reply in order.
+// reply in order: sequentially on a capturing connection, and through
+// the dispatcher over TCP.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sp := space.New(space.NewRealRuntime(), space.WithShards(4))
-		cc := &captureConn{}
-		var opts []GatewayOption
-		if workers > 1 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		st := NewServerStack(cc, sp, opts...)
-
 		const k = 6
 		batch := xmlcodec.AppendBatchHeader(nil, false, k)
 		for i := 0; i < k; i++ {
 			batch = xmlcodec.AppendBatchMember(batch, binWriteFrame(uint64(i+1), int64(i), 0))
 		}
-		cc.onRecv(batch)
+		var st *ServerStack
+		var frames func() [][]byte
+		if workers > 1 {
+			var a *transport.TCPConn
+			a, st = tcpServerStack(t, sp, WithWorkers(workers))
+			got := &captureConn{}
+			a.SetOnReceive(func(b []byte) { _ = got.Send(b) })
+			if err := a.Send(batch); err != nil {
+				t.Fatal(err)
+			}
+			frames = got.take
+		} else {
+			cc := &captureConn{}
+			st = NewServerStack(cc, sp)
+			cc.onRecv(batch)
+			frames = cc.take
+		}
 
 		deadlineOK := func() bool {
-			for _, f := range cc.take() {
+			for _, f := range frames() {
 				it, err := xmlcodec.NewBatchIter(f)
 				if err != nil {
 					t.Fatalf("workers=%d: response not a batch: %v", workers, err)
@@ -283,45 +293,56 @@ func TestBatchMalformedMemberFillsSlots(t *testing.T) {
 }
 
 // TestClientBatchingRoundTrip runs a real client with multi-op
-// coalescing against the full stack.
+// coalescing against the full stack: served inline over the loopback
+// pipe, and by the dispatcher over TCP.
 func TestClientBatchingRoundTrip(t *testing.T) {
-	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
-	a, b := transport.NewLoopback()
-	st := NewServerStack(b, sp, WithWorkers(4))
-	cli := NewClient(a, WithBinaryCodec(), WithBatchOps(4))
+	for _, tr := range []string{"pipe", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			sp := space.New(space.NewRealRuntime(), space.WithShards(4))
+			var conn transport.Conn
+			var st *ServerStack
+			if tr == "tcp" {
+				conn, st = tcpServerStack(t, sp, WithWorkers(4))
+			} else {
+				a, b := transport.NewLoopback()
+				conn, st = a, NewServerStack(b, sp, WithWorkers(4))
+			}
+			cli := NewClient(conn, WithBinaryCodec(), WithBatchOps(4))
 
-	const n = 32
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tup := tuple.New("bt", tuple.Int("i", int64(i)))
-			if err := cli.WriteWait(tup, space.NoLease); err != nil {
-				errs <- err.Error()
-				return
+			const n = 32
+			var wg sync.WaitGroup
+			errs := make(chan string, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					tup := tuple.New("bt", tuple.Int("i", int64(i)))
+					if err := cli.WriteWait(tup, space.NoLease); err != nil {
+						errs <- err.Error()
+						return
+					}
+					if _, ok := cli.TakeWait(tup, sim.DurationOf(5e9)); !ok {
+						errs <- "take missed"
+					}
+				}(i)
 			}
-			if _, ok := cli.TakeWait(tup, sim.DurationOf(5e9)); !ok {
-				errs <- "take missed"
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Fatal(e)
 			}
-		}(i)
+			if err := cli.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_ = st.Gateway.Close()
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_ = st.Gateway.Close()
 }
 
 // TestAffinityEquivalence checks shard-affinity dispatch against
 // sequential dispatch: the same pipelined workload lands the space in
 // the same state with the same per-kind stats, for several worker
-// counts.
+// counts. Every run rides TCP, the transport the dispatcher serves.
 func TestAffinityEquivalence(t *testing.T) {
 	type outcome struct {
 		size   int
@@ -331,7 +352,6 @@ func TestAffinityEquivalence(t *testing.T) {
 	}
 	run := func(workers int, noAffinity bool) outcome {
 		sp := space.New(space.NewRealRuntime(), space.WithShards(4))
-		a, b := transport.NewLoopback()
 		var opts []GatewayOption
 		if workers > 1 {
 			opts = append(opts, WithWorkers(workers))
@@ -339,7 +359,7 @@ func TestAffinityEquivalence(t *testing.T) {
 		if noAffinity {
 			opts = append(opts, WithoutAffinity())
 		}
-		st := NewServerStack(b, sp, opts...)
+		a, st := tcpServerStack(t, sp, opts...)
 		cli := NewClient(a, WithBinaryCodec())
 
 		const goroutines = 8

@@ -150,7 +150,13 @@ func (c *Client) onEventBatch(b []byte) {
 	if err != nil {
 		return
 	}
+	c.applyMu.RLock()
+	defer c.applyMu.RUnlock()
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return // past the Close fence: the cursor is final
+	}
 	s := c.nsess[it.Session]
 	if s == nil {
 		// The open reply has not been processed yet (the server's

@@ -24,8 +24,7 @@ import (
 // checks the Resend snapshot against completion/recycling races.
 func TestRetransmitCompletesExactlyOnce(t *testing.T) {
 	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
-	a, b := transport.NewLoopback()
-	st := NewServerStack(b, sp, WithWorkers(2))
+	a, st := tcpServerStack(t, sp, WithWorkers(2))
 	cli := NewClient(a, WithBinaryCodec())
 	// Real-clock resilience with no per-attempt deadline: requests are
 	// only ever retransmitted by the explicit Resend hammer below.

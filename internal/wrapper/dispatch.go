@@ -15,7 +15,10 @@ const dispatchQueueDepth = 256
 // dispatcher is the gateway's bounded per-connection worker pool:
 // request frames are handled on worker goroutines instead of the
 // transport's reader goroutine, so one slow request no longer
-// head-of-line-blocks every other request on the connection.
+// head-of-line-blocks every other request on the connection. It only
+// runs behind a transport that has such a reader goroutine (TCP); a
+// transport that delivers on the sender's goroutine gains nothing
+// from the hand-off, and NewGateway serves it inline.
 //
 // In affinity mode (the default) each worker owns a private queue and
 // frames are routed by the tuple's home-shard signature, computed

@@ -279,6 +279,46 @@ func TestNotifySessionDuplicateBatchSkipped(t *testing.T) {
 	}
 }
 
+// TestClientCloseFencesSessionApply: Close waits for an event batch
+// already being applied, and no batch is applied once it returns, so
+// the cursor NotifyLastSeq reads after Close is the one to resume
+// from.
+func TestClientCloseFencesSessionApply(t *testing.T) {
+	cliEnd, _ := transport.NewLoopback()
+	c := NewClient(cliEnd, WithBinaryCodec())
+	entered, release := make(chan struct{}), make(chan struct{})
+	var applied int
+	c.registerSession(7, func(tuple.Tuple) {
+		applied++
+		if applied == 1 {
+			close(entered)
+			<-release
+		}
+	}, 0)
+	batch := func(seq uint64) []byte {
+		frame := xmlcodec.AppendEventBatchHeader(nil, 7, seq, 1)
+		return xmlcodec.AppendEventBatchMember(frame, xmlcodec.EncodeTupleBinary(job("ev", int64(seq))))
+	}
+	go c.onEventBatch(batch(1))
+	<-entered
+	closed := make(chan struct{})
+	go func() { _ = c.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an event was being applied")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if got := c.NotifyLastSeq(7); got != 1 {
+		t.Fatalf("cursor after Close = %d, want 1", got)
+	}
+	c.onEventBatch(batch(2))
+	if applied != 1 || c.NotifyLastSeq(7) != 1 {
+		t.Fatalf("a batch was applied after Close: %d events, cursor %d", applied, c.NotifyLastSeq(7))
+	}
+}
+
 func TestNotifySessionPlainNotifyUnchanged(t *testing.T) {
 	// The non-durable path must still work alongside the hub.
 	cli, _, hub := notifyRig(t)

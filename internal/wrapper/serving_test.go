@@ -1,6 +1,8 @@
 package wrapper
 
 import (
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,12 +26,57 @@ func realStack(t *testing.T, gwOpts []GatewayOption, cliOpts []ClientOption) (*C
 	return cli, sp
 }
 
+// tcpConns returns both ends of one 127.0.0.1 TCP connection: the
+// transport with a reader goroutine of its own, the only one on which
+// WithWorkers starts the dispatcher. Both ends close at cleanup.
+func tcpConns(t *testing.T) (cli, srv *transport.TCPConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cnc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snc, err := ln.Accept()
+	if err != nil {
+		cnc.Close()
+		t.Fatal(err)
+	}
+	cli, srv = transport.NewTCPConn(cnc), transport.NewTCPConn(snc)
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	return cli, srv
+}
+
+// tcpServerStack is NewServerStack over the server end of a TCP
+// connection, failing the test unless a dispatcher serves it when
+// workers are asked for: a test of dispatch.go must reach it.
+func tcpServerStack(t *testing.T, sp *space.Space, opts ...GatewayOption) (*transport.TCPConn, *ServerStack) {
+	t.Helper()
+	cli, srv := tcpConns(t)
+	st := NewServerStack(srv, sp, opts...)
+	var cfg gwConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if (cfg.workers > 1) != (st.Gateway.dispatch != nil) {
+		t.Fatalf("workers=%d over TCP: dispatcher running = %v", cfg.workers, st.Gateway.dispatch != nil)
+	}
+	return cli, st
+}
+
 // TestConcurrentGatewayDispatch runs many closed-loop clients through
 // one worker-pool gateway (under -race this also exercises every
 // cross-goroutine handoff): every write/take pair must complete and
 // the space must come back empty.
 func TestConcurrentGatewayDispatch(t *testing.T) {
-	cli, sp := realStack(t, []GatewayOption{WithWorkers(4)}, nil)
+	sp := space.New(space.NewRealRuntime(), space.WithShards(2))
+	conn, st := tcpServerStack(t, sp, WithWorkers(4))
+	cli := NewClient(conn)
+	defer st.Gateway.Close()
+	defer cli.Close()
 	const goroutines, pairs = 16, 20
 	timeout := sim.DurationOf(30 * time.Second)
 	var wg sync.WaitGroup
@@ -61,8 +108,8 @@ func TestConcurrentGatewayDispatch(t *testing.T) {
 // the dedup cache, not executed again.
 func TestConcurrentDispatchDedup(t *testing.T) {
 	sp := space.New(space.NewRealRuntime())
-	a, b := transport.NewLoopback()
-	NewServerStack(b, sp, WithWorkers(4))
+	a, st := tcpServerStack(t, sp, WithWorkers(4))
+	defer st.Gateway.Close()
 	resps := make(chan xmlcodec.Response, 4)
 	a.SetOnReceive(func(p []byte) {
 		r, err := xmlcodec.UnmarshalResponse(p)
@@ -92,6 +139,147 @@ func TestConcurrentDispatchDedup(t *testing.T) {
 	}
 	if sp.Size() != 1 {
 		t.Fatalf("space size = %d, want 1 (duplicate executed)", sp.Size())
+	}
+}
+
+// TestLoopbackWorkersServeInline: a loopback pipe runs the gateway on
+// each sender's goroutine, so a gateway built WithWorkers over one
+// starts no dispatcher (and no goroutine at all) and still serves
+// concurrent clients, including a take parked by one client and woken
+// by another's write on the writer's goroutine.
+func TestLoopbackWorkersServeInline(t *testing.T) {
+	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
+	const clients, pairs = 16, 25
+	before := runtime.NumGoroutine()
+	clis := make([]*Client, clients)
+	gws := make([]*Gateway, clients)
+	for i := range clis {
+		a, b := transport.NewLoopback()
+		gws[i] = NewServerStack(b, sp, WithWorkers(4)).Gateway
+		if gws[i].dispatch != nil {
+			t.Fatal("dispatcher started on a loopback connection")
+		}
+		clis[i] = NewClient(a, WithBinaryCodec())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("building %d loopback stacks started %d goroutines", clients, after-before)
+	}
+	timeout := sim.DurationOf(30 * time.Second)
+	var wg sync.WaitGroup
+	for i := range clis {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cli, peer := clis[i], clis[(i+1)%clients]
+			for j := 0; j < pairs; j++ {
+				// Half the takes park before the write they wait for is
+				// sent from the neighbouring client's connection.
+				tp := tuple.New("inl", tuple.Int("c", int64(i)), tuple.Int("j", int64(j)))
+				got := make(chan bool, 1)
+				if j%2 == 0 {
+					cli.Take(tp, timeout, func(_ tuple.Tuple, ok bool) { got <- ok })
+					if err := peer.WriteWait(tp, space.NoLease); err != nil {
+						t.Errorf("client %d write %d: %v", i, j, err)
+						return
+					}
+				} else {
+					if err := peer.WriteWait(tp, space.NoLease); err != nil {
+						t.Errorf("client %d write %d: %v", i, j, err)
+						return
+					}
+					cli.Take(tp, timeout, func(_ tuple.Tuple, ok bool) { got <- ok })
+				}
+				if !<-got {
+					t.Errorf("client %d take %d missed", i, j)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range clis {
+		_ = clis[i].Close()
+		_ = gws[i].Close()
+	}
+	if sp.Size() != 0 {
+		t.Fatalf("space size = %d after balanced write/take pairs", sp.Size())
+	}
+}
+
+// TestStackCloseLeavesNoGoroutines builds the benchmark's server
+// shape — one space, a WithWorkers stack per connection — over both
+// transports, leaves a take parked and eight notify registrations
+// open, then closes clients, gateways and connections in that order.
+// Every Close must return promptly and every goroutine the stacks
+// started must be gone afterwards.
+func TestStackCloseLeavesNoGoroutines(t *testing.T) {
+	for _, tr := range []string{"pipe", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sp := space.New(space.NewRealRuntime(), space.WithShards(4))
+			var clis []*Client
+			var gws []*Gateway
+			var conns []transport.Conn
+			dial := func() *Client {
+				var cc, sc transport.Conn
+				if tr == "tcp" {
+					cc, sc = tcpConns(t)
+					conns = append(conns, cc, sc)
+				} else {
+					cc, sc = transport.NewLoopback()
+				}
+				gws = append(gws, NewServerStack(sc, sp, WithWorkers(4)).Gateway)
+				cli := NewClient(cc, WithBinaryCodec())
+				clis = append(clis, cli)
+				return cli
+			}
+			taker, watcher := dial(), dial()
+			never := tuple.New("never", tuple.AnyInt("n"))
+			taker.Take(never, sim.DurationOf(20*time.Second), func(tuple.Tuple, bool) {})
+			// A count of the same kind routes to the take's dispatch
+			// queue and is served after it, so once it returns the take
+			// is parked (on the pipe it is parked when Take returns).
+			if n, ok := taker.CountWait(never); !ok || n != 0 {
+				t.Fatalf("count = %d, %v", n, ok)
+			}
+			acks := make(chan bool, 8)
+			for i := 0; i < 8; i++ {
+				watcher.Notify(tuple.New("ev", tuple.AnyInt("n")), func(tuple.Tuple) {},
+					func(ok bool) { acks <- ok })
+			}
+			for i := 0; i < 8; i++ {
+				if !<-acks {
+					t.Fatal("notify registration refused")
+				}
+			}
+
+			closeBy := func(what string, fn func() error) {
+				t.Helper()
+				done := make(chan struct{})
+				go func() { _ = fn(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s.Close did not return within 5s", what)
+				}
+			}
+			for _, c := range clis {
+				closeBy("Client", c.Close)
+			}
+			for _, g := range gws {
+				closeBy("Gateway", g.Close)
+			}
+			for _, c := range conns {
+				closeBy("Conn", c.Close)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines left running after close (%d before the stacks)", n-before, before)
+			}
+		})
 	}
 }
 

@@ -153,12 +153,12 @@ func RegisterSpace(srv *rmi.Server, conn transport.Conn, sp *space.Space) {
 // client-facing transport, forwards XML requests to the space server
 // through RMI, and relays responses and notify events back.
 //
-// By default requests are dispatched sequentially on the transport's
-// reader goroutine — the deterministic behaviour every simulated
-// transport relies on. WithWorkers hands decode and dispatch to a
-// bounded per-connection worker pool instead, so one slow request no
-// longer head-of-line-blocks the connection (real TCP serving wants
-// this; the paper-reproduction paths must not use it).
+// By default requests are dispatched sequentially on the goroutine
+// the transport delivers them on — the deterministic behaviour every
+// simulated transport relies on. WithWorkers hands decode and
+// dispatch on a TCP connection to a bounded per-connection worker
+// pool instead, so one slow request no longer head-of-line-blocks the
+// connection; every other transport keeps serving inline.
 type Gateway struct {
 	client   transport.Conn
 	rmi      *rmi.Client
@@ -197,9 +197,16 @@ type GatewayOption func(*gwConfig)
 // request tuple's home-shard signature (see dispatcher); responses
 // already correlate by request id, so relaxed cross-shard ordering is
 // protocol-visible but harmless, and at-most-once execution is
-// preserved by the server's request-id dedup. Keep the
-// simulated/deterministic transports sequential — their outputs must
-// stay byte-identical run to run.
+// preserved by the server's request-id dedup.
+//
+// The pool only starts on a transport that reads frames on a
+// goroutine of its own (TCP): there it is what lets the reader move
+// on while a request is served. A loopback pipe already runs the
+// gateway on each sender's goroutine, so concurrent clients are
+// served concurrently without it and a hand-off would only add a
+// goroutine switch; simulated transports must stay sequential to
+// keep their outputs byte-identical run to run. On those the option
+// is accepted and the gateway serves inline.
 func WithWorkers(n int) GatewayOption {
 	return func(c *gwConfig) { c.workers = n }
 }
@@ -243,7 +250,7 @@ func NewGateway(client transport.Conn, rc *rmi.Client, opts ...GatewayOption) *G
 			g.hub = NewNotifyHub()
 		}
 	}
-	if cfg.workers > 1 {
+	if _, reader := client.(*transport.TCPConn); reader && cfg.workers > 1 {
 		route := g.routeFrame
 		if cfg.noAffinity {
 			route = nil
@@ -395,8 +402,8 @@ func (g *Gateway) forward(id uint64, op string, binaryCodec bool, b []byte, done
 // without WithNotifyHub can hand its private hub to sibling stacks.
 func (g *Gateway) NotifyHub() *NotifyHub { return g.hub }
 
-// Close stops the dispatch workers, if any. The transports are owned
-// (and closed) by the caller.
+// Close stops the dispatch workers, if any (a gateway serving inline
+// has none). The transports are owned (and closed) by the caller.
 func (g *Gateway) Close() error {
 	if g.dispatch != nil {
 		g.dispatch.stop()
@@ -505,6 +512,12 @@ type Client struct {
 	batchOps   int
 	bat        *batcher
 	closed     bool
+
+	// applyMu fences Close against session event application:
+	// onEventBatch applies under the read side, Close takes the write
+	// side once closed is set, so no session callback runs after Close
+	// returns and the session cursors are final.
+	applyMu sync.RWMutex
 }
 
 // ClientOption configures a Client at construction.
@@ -665,11 +678,17 @@ func (c *Client) Ping(cb func(ok bool)) {
 }
 
 // Close tears the client down; in-flight callbacks fire with failure.
+// Close is a fence for durable notify sessions: an event batch being
+// applied when it is called finishes first, none is applied after it
+// returns, so NotifyLastSeq then reads the final cursor to resume
+// from. It must therefore not be called from a session callback.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	bat := c.bat
 	c.mu.Unlock()
+	c.applyMu.Lock()
+	c.applyMu.Unlock() // empty: only waits out an apply in progress
 	if bat != nil {
 		bat.stop()
 	}

@@ -28,7 +28,8 @@
 #   smoke (-leasebench: the books must balance and the wheel row must
 #   report 0 allocs/op), a durable-notify
 #   resume smoke (-notifybench, exactly-once across a mid-run
-#   reconnect), a dead-code gate (scripts/deadcode.sh: no internal/
+#   reconnect) with its Close fence and the inline loopback gateway
+#   repeated 50 times under -race, a dead-code gate (scripts/deadcode.sh: no internal/
 #   function may newly drop out of every binary against the committed
 #   scripts/unreached.txt), and a byte-identity diff of every paper CLI output
 #   (-table 4, -sweep, -fig 7, -chaos, -plan) against the committed
@@ -227,6 +228,13 @@ echo "==> durable-notify resume smoke (tpbench -notifybench, tiny fleet, exactly
 # mid-run reconnect.
 "$tmp/tpbench" -notifybench -sessions 400 > "$tmp/notifybench.txt"
 grep -q "OK: exactly-once delivery across reconnect" "$tmp/notifybench.txt"
+
+echo "==> notify Close fence and inline loopback serving (-race, 50 runs each)"
+# TestNotifyBenchSmall resumes a durable session from the cursor read
+# after Client.Close; TestLoopbackWorkersServeInline holds a loopback
+# gateway built WithWorkers to inline serving with no goroutine.
+go test -race -count=50 -run 'TestNotifyBenchSmall|TestLoopbackWorkersServeInline' \
+    ./internal/core/ ./internal/wrapper/
 
 echo "==> golden paper outputs (byte-identical to the committed goldens)"
 golden=internal/core/testdata/golden_cli
